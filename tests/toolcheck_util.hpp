@@ -1,12 +1,9 @@
 // Shared scaffolding for the static-checker test suites (lint_test.cpp,
-// protocheck_test.cpp, hotcheck_test.cpp). Each suite drives its tool's
-// Driver in-process against fixture files under tests/<tool>_fixtures/;
-// the helpers here are the tool-independent parts: reading a fixture off
-// disk and projecting a Result down to the lines one rule fired on.
-//
-// The tools share the textscan Finding/Result shape but are otherwise
-// separate types, so `lines_of` is a template over any result holding a
-// `findings` vector of textscan::Finding.
+// protocheck_test.cpp, hotcheck_test.cpp, racecheck_test.cpp,
+// oraclecheck_test.cpp). Each suite drives its analyzer's Driver in-process
+// against fixture files under tests/<analyzer>_fixtures/; the helpers here
+// are the analyzer-independent parts: reading a fixture off disk and
+// projecting a run's textscan::Report down to the lines one rule fired on.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "tools/lint/textscan.hpp"
 
 namespace reconfnet::toolcheck {
 
@@ -33,9 +32,8 @@ inline std::string read_fixture_file(const std::string& dir,
 }
 
 /// Lines on which `rule` fired, in report order.
-template <typename Result>
-std::vector<std::size_t> lines_of(const Result& result,
-                                  const std::string& rule) {
+inline std::vector<std::size_t> lines_of(const textscan::Report& result,
+                                         const std::string& rule) {
   std::vector<std::size_t> lines;
   for (const auto& finding : result.findings) {
     if (finding.rule == rule) lines.push_back(finding.line);

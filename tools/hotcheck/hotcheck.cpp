@@ -1,6 +1,7 @@
 #include "hotcheck.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -21,17 +22,29 @@ using textscan::tokenize;
 // ---------------------------------------------------------------------------
 // Rule catalogue
 
-const std::vector<textscan::RuleInfo>& rules() {
-  static const std::vector<textscan::RuleInfo> kRules = {
-      {"RNH401", "heap allocation in a hot region"},
-      {"RNH402", "hot-function parameter takes a container by value"},
-      {"RNH403", "std::map/unordered_map operation in a hot function"},
-      {"RNH404", "push loop without a prior reserve/resize"},
-      {"RNH405", "string formatting in a hot function"},
-      {"RNH410", "hotpaths.toml drift (missing file or function)"},
-      {"RNH490", "malformed reconfnet-hotcheck suppression"},
+const textscan::Module& module() {
+  static const textscan::Module kModule = {
+      .name = "hotcheck",
+      .default_spec = "tools/hotcheck/hotpaths.toml",
+      .rules = {
+          {"RNH401", "heap allocation in a hot region"},
+          {"RNH402", "hot-function parameter takes a container by value"},
+          {"RNH403", "std::map/unordered_map operation in a hot function"},
+          {"RNH404", "push loop without a prior reserve/resize"},
+          {"RNH405", "string formatting in a hot function"},
+          {"RNH410", "hotpaths.toml drift (missing file or function)"},
+          {"RNH490", "malformed reconfnet-hotcheck suppression"},
+      },
+      .suppressions = {"reconfnet-hotcheck:", "RNH", "RNH490",
+                       /*count_carve_outs=*/true},
+      .load = [](const std::string& spec_text, const std::string& spec_path,
+                 std::string& error) -> std::unique_ptr<textscan::Checker> {
+        Spec spec;
+        if (!parse_spec(spec_text, spec, error)) return nullptr;
+        return std::make_unique<Driver>(std::move(spec), spec_path);
+      },
   };
-  return kRules;
+  return kModule;
 }
 
 // ---------------------------------------------------------------------------
@@ -132,27 +145,8 @@ bool parse_spec(const std::string& text, Spec& spec, std::string& error) {
       BudgetSpec budget;
       if (!fill_budget(section, budget, error)) return false;
       spec.budgets.push_back(std::move(budget));
-    } else if (!section.is_array_of_tables && section.name == "options") {
-      for (const auto& entry : section.entries) {
-        if (entry.key == "roots" && entry.is_array) {
-          spec.roots = entry.items;
-        } else {
-          error = "line " + std::to_string(entry.line) + ": unknown option " +
-                  entry.key;
-          return false;
-        }
-      }
-    } else if (!section.is_array_of_tables && section.name == "allow") {
-      for (const auto& entry : section.entries) {
-        if (!entry.is_array) {
-          error = "line " + std::to_string(entry.line) + ": bad allow array";
-          return false;
-        }
-        spec.allow[entry.key] = entry.items;
-      }
-    } else {
-      error = "line " + std::to_string(section.line) + ": unknown section " +
-              section.name;
+    } else if (!textscan::parse_shared_section(section, &spec.roots,
+                                               spec.allow, error)) {
       return false;
     }
   }
@@ -228,18 +222,6 @@ bool preceded_by(const std::vector<Tok>& toks, std::size_t i,
 
 Driver::Driver(Spec spec, std::string spec_path)
     : spec_(std::move(spec)), spec_path_(std::move(spec_path)) {}
-
-void Driver::add_file(const std::string& path, const std::string& content) {
-  files_.emplace(path, strip_source(path, content));
-}
-
-void Driver::set_partial(bool partial) { partial_ = partial; }
-
-bool Driver::allowed(const std::string& rule, const std::string& path) const {
-  auto it = spec_.allow.find(rule);
-  return it != spec_.allow.end() &&
-         textscan::matches_any_prefix(path, it->second);
-}
 
 namespace {
 
@@ -510,52 +492,10 @@ Driver::Result Driver::run() {
     }
   }
 
-  // Suppressions: drop findings covered by an inline allow; flag malformed
-  // suppression comments; honour [allow] path carve-outs.
-  std::vector<Finding> kept;
-  for (Finding& finding : result.findings) {
-    if (allowed(finding.rule, finding.file)) {
-      ++result.suppressed;
-      result.suppressed_findings.push_back(std::move(finding));
-      continue;
-    }
-    kept.push_back(std::move(finding));
-  }
-  result.findings = std::move(kept);
-
-  for (const auto& [path, file] : files_) {
-    const textscan::LineSuppressions sup =
-        textscan::collect_suppressions(file, "reconfnet-hotcheck:", "RNH");
-    for (std::size_t line : sup.malformed) {
-      if (allowed("RNH490", path)) continue;
-      result.findings.push_back(
-          {path, line, "RNH490",
-           "malformed reconfnet-hotcheck suppression (want "
-           "'reconfnet-hotcheck: allow(RNHnnn) reason')"});
-    }
-    std::set<std::pair<std::size_t, std::string>> used;
-    if (!sup.allow.empty()) {
-      std::vector<Finding> remaining;
-      for (Finding& finding : result.findings) {
-        if (finding.file == path) {
-          auto it = sup.allow.find(finding.line);
-          if (it != sup.allow.end() && it->second.count(finding.rule) != 0) {
-            ++result.suppressed;
-            used.insert({finding.line, finding.rule});
-            result.suppressed_findings.push_back(std::move(finding));
-            continue;
-          }
-        }
-        remaining.push_back(std::move(finding));
-      }
-      result.findings = std::move(remaining);
-    }
-    const auto stale = textscan::stale_suppressions(path, sup, used);
-    result.stale.insert(result.stale.end(), stale.begin(), stale.end());
-  }
-
-  textscan::sort_and_dedupe(result.findings);
-  textscan::sort_and_dedupe(result.suppressed_findings);
+  textscan::apply_suppressions(files_, spec_.allow, module().suppressions,
+                               std::exchange(result.findings, {}), result);
+  result.tallies =
+      std::to_string(result.hot_functions_checked) + " hot functions, ";
   return result;
 }
 

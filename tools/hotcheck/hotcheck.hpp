@@ -57,8 +57,6 @@
 namespace reconfnet::hotcheck {
 
 using textscan::Finding;
-using textscan::SourceFile;
-using textscan::strip_source;
 
 /// One [[hotpath]] entry: functions of one file declared hot.
 struct HotPathSpec {
@@ -94,49 +92,35 @@ struct Spec {
 /// (unknown sections/keys, missing required fields, non-integer budgets).
 bool parse_spec(const std::string& text, Spec& spec, std::string& error);
 
-/// The static rule catalogue (--list-rules output).
-const std::vector<textscan::RuleInfo>& rules();
+/// The analyzer's rule catalogue, spec location and suppression style.
+const textscan::Module& module();
 
-class Driver {
+/// Partial runs skip the drift checks (RNH410) for hotpath files that were
+/// not registered.
+class Driver : public textscan::Checker {
  public:
   /// `spec_path` is where spec-anchored findings (RNH410) are reported; it
   /// defaults to the canonical location.
   explicit Driver(Spec spec,
                   std::string spec_path = "tools/hotcheck/hotpaths.toml");
 
-  /// Registers a file for the run. Paths must be repo-relative with '/'
-  /// separators; contents are stripped immediately.
-  void add_file(const std::string& path, const std::string& content);
+  /// The spec's `roots`.
+  [[nodiscard]] std::vector<std::string> roots() const override {
+    return spec_.roots;
+  }
 
-  /// Partial runs (an explicit file list instead of the full tree) skip the
-  /// drift checks (RNH410) for hotpath files that were not registered.
-  void set_partial(bool partial);
-
-  struct Result {
-    std::vector<Finding> findings;  // sorted by (file, line, rule)
-    /// Findings dropped by an inline allow or an [allow] carve-out, kept for
-    /// SARIF suppression records.
-    std::vector<Finding> suppressed_findings;
-    /// Inline suppression comments whose rule no longer fires on the line
-    /// they cover (the --stale-suppressions report).
-    std::vector<textscan::StaleSuppression> stale;
-    std::size_t files_checked = 0;
-    std::size_t suppressed = 0;
+  struct Result : textscan::Report {
     std::size_t hot_functions_checked = 0;
   };
 
   /// Runs every rule over the registered files. Deterministic: files are
   /// processed in sorted path order and findings are sorted.
   Result run();
+  textscan::Report check() override { return run(); }
 
  private:
-  [[nodiscard]] bool allowed(const std::string& rule,
-                             const std::string& path) const;
-
   Spec spec_;
   std::string spec_path_;
-  bool partial_ = false;
-  std::map<std::string, SourceFile> files_;
 };
 
 }  // namespace reconfnet::hotcheck

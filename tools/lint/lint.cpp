@@ -1,6 +1,7 @@
 #include "lint.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace reconfnet::lint {
@@ -17,22 +18,35 @@ using textscan::trim;
 // ---------------------------------------------------------------------------
 // Rule catalogue
 
-const std::vector<textscan::RuleInfo>& rules() {
-  static const std::vector<textscan::RuleInfo> kRules = {
-      {"RNL001", "std::random_device (nondeterministic seed source)"},
-      {"RNL002", "rand()/srand()/*rand48 (hidden global-state RNG)"},
-      {"RNL003", "wall-clock input (std::chrono, time(), ...)"},
-      {"RNL004", "__DATE__/__TIME__/__TIMESTAMP__ build stamps"},
-      {"RNL005", "iteration over an unordered container"},
-      {"RNL006", "pointer values used as keys"},
-      {"RNL101", "include of a higher layer"},
-      {"RNL102", "file or include not covered by the layer map"},
-      {"RNL201", "header without #pragma once"},
-      {"RNL202", "using namespace in a header"},
-      {"RNL203", "NOLINT without a rule name and reason"},
-      {"RNL204", "malformed reconfnet-lint suppression"},
+const textscan::Module& module() {
+  static const textscan::Module kModule = {
+      .name = "lint",
+      .default_spec = "tools/lint/layers.toml",
+      .rules = {
+          {"RNL001", "std::random_device (nondeterministic seed source)"},
+          {"RNL002", "rand()/srand()/*rand48 (hidden global-state RNG)"},
+          {"RNL003", "wall-clock input (std::chrono, time(), ...)"},
+          {"RNL004", "__DATE__/__TIME__/__TIMESTAMP__ build stamps"},
+          {"RNL005", "iteration over an unordered container"},
+          {"RNL006", "pointer values used as keys"},
+          {"RNL101", "include of a higher layer"},
+          {"RNL102", "file or include not covered by the layer map"},
+          {"RNL201", "header without #pragma once"},
+          {"RNL202", "using namespace in a header"},
+          {"RNL203", "NOLINT without a rule name and reason"},
+          {"RNL204", "malformed reconfnet-lint suppression"},
+      },
+      // Path allowances are carve-outs, not suppressions: not counted.
+      .suppressions = {"reconfnet-lint:", "RNL", "RNL204",
+                       /*count_carve_outs=*/false},
+      .load = [](const std::string& spec_text, const std::string&,
+                 std::string& error) -> std::unique_ptr<textscan::Checker> {
+        Config config;
+        if (!parse_config(spec_text, config, error)) return nullptr;
+        return std::make_unique<Driver>(std::move(config));
+      },
   };
-  return kRules;
+  return kModule;
 }
 
 // ---------------------------------------------------------------------------
@@ -58,17 +72,8 @@ bool parse_config(const std::string& text, Config& config,
           return false;
         }
       }
-    } else if (!section.is_array_of_tables && section.name == "allow") {
-      for (const auto& entry : section.entries) {
-        if (!entry.is_array) {
-          error = "line " + std::to_string(entry.line) + ": bad allow array";
-          return false;
-        }
-        config.allow[entry.key] = entry.items;
-      }
-    } else {
-      error = "line " + std::to_string(section.line) + ": unknown section " +
-              section.name;
+    } else if (!textscan::parse_shared_section(section, nullptr, config.allow,
+                                               error)) {
       return false;
     }
   }
@@ -91,19 +96,17 @@ struct Driver::Decls {
 
 Driver::Driver(Config config) : config_(std::move(config)) {}
 
+std::vector<std::string> Driver::roots() const {
+  return {"src/", "bench/", "tools/", "examples/", "tests/"};
+}
+
 void Driver::add_file(const std::string& path, const std::string& content) {
-  files_.emplace(path, strip_source(path, content));
+  Checker::add_file(path, content);
   known_paths_.insert(path);
 }
 
 void Driver::add_known_path(const std::string& path) {
   known_paths_.insert(path);
-}
-
-bool Driver::allowed(const std::string& rule, const std::string& path) const {
-  const auto it = config_.allow.find(rule);
-  if (it == config_.allow.end()) return false;
-  return textscan::matches_any_prefix(path, it->second);
 }
 
 int Driver::layer_of(const std::string& path) const {
@@ -478,42 +481,15 @@ Driver::Result Driver::run() {
     merged.emplace(path, std::move(decls));
   }
 
+  std::vector<Finding> raw;
   for (const auto& [path, file] : files_) {
     ++result.files_checked;
-    std::vector<Finding> raw;
     check_determinism(file, merged.at(path), raw);
     check_layering(file, raw);
     check_hygiene(file, raw);
-
-    const textscan::LineSuppressions suppressions =
-        textscan::collect_suppressions(file, "reconfnet-lint:", "RNL");
-    for (const std::size_t line : suppressions.malformed) {
-      raw.push_back({path, line, "RNL204",
-                     "malformed suppression; expected "
-                     "`reconfnet-lint: allow(RNLxxx) reason`"});
-    }
-    std::set<std::pair<std::size_t, std::string>> used;
-    for (Finding& finding : raw) {
-      if (allowed(finding.rule, path)) {
-        result.suppressed_findings.push_back(std::move(finding));
-        continue;
-      }
-      const auto it = suppressions.allow.find(finding.line);
-      if (finding.rule != "RNL204" && it != suppressions.allow.end() &&
-          it->second.count(finding.rule) != 0) {
-        ++result.suppressed;
-        used.insert({finding.line, finding.rule});
-        result.suppressed_findings.push_back(std::move(finding));
-        continue;
-      }
-      result.findings.push_back(std::move(finding));
-    }
-    const auto stale = textscan::stale_suppressions(path, suppressions, used);
-    result.stale.insert(result.stale.end(), stale.begin(), stale.end());
   }
-
-  textscan::sort_and_dedupe(result.findings);
-  textscan::sort_and_dedupe(result.suppressed_findings);
+  textscan::apply_suppressions(files_, config_.allow, module().suppressions,
+                               std::move(raw), result);
   return result;
 }
 

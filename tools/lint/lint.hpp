@@ -5,8 +5,8 @@
 // layer DAG are enforced here, ahead of the runtime tests that would only
 // catch a breach after the fact. The checker is deliberately zero-dependency:
 // the shared scanning machinery lives in tools/lint/textscan.{hpp,cpp}
-// (tokenizer, source stripper, suppression parser, TOML subset), which
-// reconfnet_protocheck (tools/protocheck/) builds on as well.
+// (tokenizer, source stripper, suppression pass, TOML subset), which the
+// other four analyzers build on as well. Run it as `reconfnet_check lint`.
 //
 // Rule families (each finding prints `file:line: RNLxxx message`):
 //
@@ -47,7 +47,6 @@ namespace reconfnet::lint {
 
 using textscan::Finding;
 using textscan::SourceFile;
-using textscan::strip_source;
 
 /// One layer of the include DAG. Layers are ordered bottom -> top; a file may
 /// include files whose layer index is <= its own. `paths` entries are
@@ -70,43 +69,34 @@ struct Config {
 /// `error` on malformed input.
 bool parse_config(const std::string& text, Config& config, std::string& error);
 
-/// The static rule catalogue (--list-rules output).
-const std::vector<textscan::RuleInfo>& rules();
+/// The analyzer's rule catalogue, spec location and suppression style.
+const textscan::Module& module();
 
-class Driver {
+class Driver : public textscan::Checker {
  public:
   explicit Driver(Config config);
 
-  /// Registers a file for the run. Paths must be repo-relative with '/'
-  /// separators; contents are stripped immediately.
-  void add_file(const std::string& path, const std::string& content);
+  /// The whole first-party tree: src/ bench/ tools/ examples/ tests/.
+  [[nodiscard]] std::vector<std::string> roots() const override;
+
+  /// Registers a file for the run; it is also a known path.
+  void add_file(const std::string& path, const std::string& content) override;
 
   /// Registers a path for include resolution only (not linted). Lets a
   /// partial run (explicit file arguments) resolve includes of files that
   /// are not themselves being checked.
-  void add_known_path(const std::string& path);
+  void add_known_path(const std::string& path) override;
 
-  struct Result {
-    std::vector<Finding> findings;  // sorted by (file, line, rule)
-    /// Findings dropped by an inline allow or an [allow] carve-out, kept for
-    /// SARIF suppression records.
-    std::vector<Finding> suppressed_findings;
-    /// Inline suppression comments whose rule no longer fires on the line
-    /// they cover (the --stale-suppressions report).
-    std::vector<textscan::StaleSuppression> stale;
-    std::size_t files_checked = 0;
-    std::size_t suppressed = 0;
-  };
+  using Result = textscan::Report;
 
   /// Runs every rule over the registered files. Deterministic: files are
   /// processed in sorted path order and findings are sorted.
   Result run();
+  textscan::Report check() override { return run(); }
 
  private:
   struct Decls;
 
-  [[nodiscard]] bool allowed(const std::string& rule,
-                             const std::string& path) const;
   [[nodiscard]] int layer_of(const std::string& path) const;
   [[nodiscard]] std::string resolve_include(const std::string& includer,
                                             const std::string& target) const;
@@ -117,7 +107,6 @@ class Driver {
   void check_hygiene(const SourceFile& file, std::vector<Finding>& out) const;
 
   Config config_;
-  std::map<std::string, SourceFile> files_;
   std::set<std::string> known_paths_;
 };
 

@@ -312,6 +312,21 @@ std::vector<LoopRange> collect_loops(const std::vector<Tok>& toks,
   return loops;
 }
 
+std::string callee_reach(const std::vector<Tok>& toks, std::size_t call,
+                         const std::function<bool(const std::string&)>& hit) {
+  for (const FunctionBody& def : find_functions(toks, toks[call].text)) {
+    if (def.body_begin <= call && call < def.body_end) continue;  // recursion
+    for (std::size_t k = def.body_begin; k < def.body_end; ++k) {
+      if (toks[k].kind != Tok::Kind::kIdent) continue;
+      if (k > 0 && (toks[k - 1].text == "." || toks[k - 1].text == "->"))
+        continue;
+      if (hit(toks[k].text)) return toks[k].text;
+    }
+    break;  // first definition is the one-level approximation
+  }
+  return {};
+}
+
 // ---------------------------------------------------------------------------
 // Source stripping
 
@@ -547,6 +562,52 @@ std::vector<StaleSuppression> stale_suppressions(
   return out;
 }
 
+void apply_suppressions(
+    const std::map<std::string, SourceFile>& files,
+    const std::map<std::string, std::vector<std::string>>& allow,
+    const SuppressionStyle& style, std::vector<Finding> raw, Report& report) {
+  std::map<std::string, LineSuppressions> suppressions;
+  for (const auto& [path, file] : files) {
+    LineSuppressions collected =
+        collect_suppressions(file, style.marker, style.rule_prefix);
+    for (const std::size_t line : collected.malformed) {
+      raw.push_back({path, line, style.malformed_rule,
+                     "malformed suppression; expected `" + style.marker +
+                         " allow(" + style.rule_prefix + "xxx) reason`"});
+    }
+    suppressions.emplace(path, std::move(collected));
+  }
+  std::map<std::string, std::set<std::pair<std::size_t, std::string>>> used;
+  for (Finding& finding : raw) {
+    const bool malformed = finding.rule == style.malformed_rule;
+    const auto carve_out = allow.find(finding.rule);
+    if (carve_out != allow.end() &&
+        matches_any_prefix(finding.file, carve_out->second)) {
+      if (style.count_carve_outs && !malformed) ++report.suppressed;
+      report.suppressed_findings.push_back(std::move(finding));
+      continue;
+    }
+    const auto file_it = suppressions.find(finding.file);
+    if (!malformed && file_it != suppressions.end()) {
+      const auto line_it = file_it->second.allow.find(finding.line);
+      if (line_it != file_it->second.allow.end() &&
+          line_it->second.count(finding.rule) != 0) {
+        ++report.suppressed;
+        used[finding.file].insert({finding.line, finding.rule});
+        report.suppressed_findings.push_back(std::move(finding));
+        continue;
+      }
+    }
+    report.findings.push_back(std::move(finding));
+  }
+  for (const auto& [path, sup] : suppressions) {
+    const auto stale = stale_suppressions(path, sup, used[path]);
+    report.stale.insert(report.stale.end(), stale.begin(), stale.end());
+  }
+  sort_and_dedupe(report.findings);
+  sort_and_dedupe(report.suppressed_findings);
+}
+
 // ---------------------------------------------------------------------------
 // TOML subset
 
@@ -570,6 +631,37 @@ bool parse_string_array(const std::string& value,
     i = close + 1;
   }
   return true;
+}
+
+bool parse_shared_section(
+    const TomlSection& section, std::vector<std::string>* roots,
+    std::map<std::string, std::vector<std::string>>& allow,
+    std::string& error) {
+  if (roots != nullptr && !section.is_array_of_tables &&
+      section.name == "options") {
+    for (const TomlEntry& entry : section.entries) {
+      if (entry.key != "roots" || !entry.is_array) {
+        error = "line " + std::to_string(entry.line) + ": unknown option " +
+                entry.key;
+        return false;
+      }
+      *roots = entry.items;
+    }
+    return true;
+  }
+  if (!section.is_array_of_tables && section.name == "allow") {
+    for (const TomlEntry& entry : section.entries) {
+      if (!entry.is_array) {
+        error = "line " + std::to_string(entry.line) + ": bad allow array";
+        return false;
+      }
+      allow[entry.key] = entry.items;
+    }
+    return true;
+  }
+  error = "line " + std::to_string(section.line) + ": unknown section " +
+          section.name;
+  return false;
 }
 
 bool parse_toml_subset(const std::string& text,
@@ -646,25 +738,6 @@ bool parse_toml_subset(const std::string& text,
     sections.back().entries.push_back(std::move(entry));
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Standard informational CLI flags
-
-bool handle_standard_flag(const std::string& arg, const std::string& tool_name,
-                          const std::vector<RuleInfo>& rules,
-                          std::ostream& out) {
-  if (arg == "--version") {
-    out << tool_name << " " << kToolsVersion << "\n";
-    return true;
-  }
-  if (arg == "--list-rules") {
-    for (const RuleInfo& rule : rules) {
-      out << rule.id << "\t" << rule.summary << "\n";
-    }
-    return true;
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,26 +1,32 @@
-// Shared source-scanning machinery for the reconfnet static checkers
-// (reconfnet_lint in tools/lint/, reconfnet_protocheck in tools/protocheck/,
-// reconfnet_hotcheck in tools/hotcheck/, reconfnet_racecheck in
-// tools/racecheck/, reconfnet_oraclecheck in tools/oraclecheck/).
+// Shared source-scanning machinery for the reconfnet static checkers: the
+// five analyzers (lint in tools/lint/, protocheck in tools/protocheck/,
+// hotcheck in tools/hotcheck/, racecheck in tools/racecheck/, oraclecheck in
+// tools/oraclecheck/) and the one `reconfnet_check <analyzer>` front end
+// (tools/reconfnet_check.cpp) that drives them.
 //
 // The tools are deliberately zero-dependency: they tokenise and light-parse
 // the sources themselves (no libclang), so they build and run on the
-// gcc-only dev container and in CI alike, and both can be bootstrap-compiled
-// from a handful of files with no build tree configured. Everything that is
-// not rule logic lives here:
+// gcc-only dev container and in CI alike, and the checker binary can be
+// bootstrap-compiled from a handful of files with no build tree configured.
+// Everything that is not rule logic lives here:
 //
 //   * Finding              — one rule-coded diagnostic (file:line: RULE msg)
 //   * strip_source         — comment/string stripping preserving line structure
 //   * tokenize             — identifier/punctuation token stream
+//   * callee_reach         — the one-level same-file call walk
 //   * collect_suppressions — `<marker> allow(XYZnnn) reason` comments, with
-//                            the marker and rule prefix chosen per tool
-//   * parse_toml_subset    — the small TOML dialect both config files use
+//                            the marker and rule prefix chosen per analyzer
+//   * apply_suppressions   — the suppression pass every analyzer shares
+//   * parse_toml_subset    — the small TOML dialect the spec files use
 //                            ([[table]] arrays, [table]s, string/array values)
+//   * Module / Checker     — what an analyzer hands the front end
 //   * write_sarif          — SARIF 2.1.0 export for CI code-scanning upload
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
@@ -147,6 +153,14 @@ struct LoopRange {
 std::vector<LoopRange> collect_loops(const std::vector<Tok>& toks,
                                      std::size_t begin, std::size_t end);
 
+/// One-level same-file call walk. `call` indexes the name token of a call
+/// site in `toks`. Scans the body of that name's first definition in `toks`
+/// that does not enclose the call (so recursion is skipped) and returns the
+/// first identifier there, outside member access, for which `hit` holds;
+/// returns "" when the callee is not defined in `toks` or nothing hits.
+std::string callee_reach(const std::vector<Tok>& toks, std::size_t call,
+                         const std::function<bool(const std::string&)>& hit);
+
 // ---------------------------------------------------------------------------
 // Suppressions
 
@@ -192,6 +206,46 @@ std::vector<StaleSuppression> stale_suppressions(
     const std::string& path, const LineSuppressions& sup,
     const std::set<std::pair<std::size_t, std::string>>& used);
 
+/// What one analyzer run produces. Each analyzer's Driver::Result extends it
+/// with its own counters.
+struct Report {
+  std::vector<Finding> findings;  // sorted by (file, line, rule)
+  /// Findings dropped by an inline allow or an [allow] carve-out, kept for
+  /// SARIF suppression records.
+  std::vector<Finding> suppressed_findings;
+  /// Inline suppression comments whose rule no longer fires on the line
+  /// they cover (the --stale-suppressions report).
+  std::vector<StaleSuppression> stale;
+  std::size_t files_checked = 0;
+  std::size_t suppressed = 0;
+  /// The analyzer's own counters as they lead the summary line's finding
+  /// count, e.g. "47 hot functions, "; empty when it has none.
+  std::string tallies;
+};
+
+/// How one analyzer spells its inline suppressions.
+struct SuppressionStyle {
+  std::string marker;          ///< comment tag, e.g. "reconfnet-lint:"
+  std::string rule_prefix;     ///< rule family, e.g. "RNL"
+  std::string malformed_rule;  ///< rule id for a malformed comment
+  /// Whether findings dropped by an [allow] carve-out count toward
+  /// Report::suppressed (inline suppressions always do).
+  bool count_carve_outs = false;
+};
+
+/// The suppression pass every analyzer shares. Adds a `malformed_rule`
+/// finding for each malformed suppression comment in `files`, then routes
+/// each raw finding: one under an [allow] carve-out (`allow` maps a rule id
+/// to path prefixes) or covered by an inline allow() of its rule goes to
+/// `suppressed_findings`, every other one to `findings`. Malformed-comment
+/// findings are never suppressed inline and never counted. Fills `stale`
+/// with the allow() rules that suppressed nothing, then sorts and dedupes
+/// both finding lists.
+void apply_suppressions(
+    const std::map<std::string, SourceFile>& files,
+    const std::map<std::string, std::vector<std::string>>& allow,
+    const SuppressionStyle& style, std::vector<Finding> raw, Report& report);
+
 // ---------------------------------------------------------------------------
 // TOML subset
 
@@ -214,7 +268,7 @@ struct TomlSection {
   std::vector<TomlEntry> entries;
 };
 
-/// Parses the TOML subset shared by layers.toml and protocol.toml: comments,
+/// Parses the TOML subset every spec file uses: comments,
 /// [[section]] / [section] headers, `key = "string"`, `key = bare-token`,
 /// and `key = ["a", "b"]`. Returns false and fills `error` (prefixed with
 /// "line N: ") on malformed input. Keys before any section header are an
@@ -222,32 +276,74 @@ struct TomlSection {
 bool parse_toml_subset(const std::string& text,
                        std::vector<TomlSection>& sections, std::string& error);
 
+/// Parses a section every spec shares: `[options]`, whose one key is
+/// `roots` (accepted only when `roots` is non-null), and `[allow]`, rule id
+/// -> path prefixes where the rule is off wholesale. Any other section is
+/// unknown. Returns false and fills `error` ("line N: ...") on bad input.
+bool parse_shared_section(
+    const TomlSection& section, std::vector<std::string>* roots,
+    std::map<std::string, std::vector<std::string>>& allow,
+    std::string& error);
+
 /// Parses `["a", "b"]` into items; returns false on malformed input.
 bool parse_string_array(const std::string& value,
                         std::vector<std::string>& items);
 
 // ---------------------------------------------------------------------------
-// Standard informational CLI flags
+// Analyzer modules
 
-/// Version stamp shared by the reconfnet checkers (reconfnet_lint,
-/// reconfnet_protocheck, reconfnet_hotcheck, reconfnet_racecheck,
-/// reconfnet_oraclecheck); bumped when a rule set or the shared scanning
-/// layer changes shape.
-inline constexpr const char* kToolsVersion = "1.3.0";
+/// Version stamp shared by the five analyzers; bumped when a rule set, the
+/// shared scanning layer or the checker's command line changes shape.
+inline constexpr const char* kToolsVersion = "1.4.0";
 
 /// One rule id plus its one-line summary — the unit of --list-rules output
-/// and of each tool's static rule catalogue.
+/// and of each analyzer's static rule catalogue.
 struct RuleInfo {
   const char* id;
   const char* summary;
 };
 
-/// Handles the informational flags every checker accepts: `--version` prints
-/// `<tool> <version>`, `--list-rules` prints one `ID<TAB>summary` line per
-/// rule. Returns true when `arg` was one of them (the caller exits 0).
-bool handle_standard_flag(const std::string& arg, const std::string& tool_name,
-                          const std::vector<RuleInfo>& rules,
-                          std::ostream& out);
+/// One configured analyzer run, as the front end drives it: register files,
+/// then check them. Each analyzer's Driver derives from it.
+class Checker {
+ public:
+  virtual ~Checker() = default;
+
+  /// Repo-relative path prefixes the whole-tree walk covers.
+  [[nodiscard]] virtual std::vector<std::string> roots() const = 0;
+  /// Registers a file for the run. Paths must be repo-relative with '/'
+  /// separators; contents are stripped immediately.
+  virtual void add_file(const std::string& path, const std::string& content) {
+    files_.emplace(path, strip_source(path, content));
+  }
+  /// Registers a path under the roots that is not itself checked; a run
+  /// over explicit files sees every such path first.
+  virtual void add_known_path(const std::string& /*path*/) {}
+  /// Partial runs (an explicit file list instead of the full tree) skip the
+  /// analyzer's whole-tree rules.
+  void set_partial(bool partial) { partial_ = partial; }
+  /// Runs every rule over the registered files.
+  virtual Report check() = 0;
+
+ protected:
+  std::map<std::string, SourceFile> files_;  ///< registered files, by path
+  bool partial_ = false;
+};
+
+/// What an analyzer hands the `reconfnet_check` front end.
+struct Module {
+  /// CLI name; reports as reconfnet_<name>, rule catalogue in
+  /// tools/<name>/<name>.hpp.
+  const char* name;
+  const char* default_spec;  ///< repo-relative spec used without --spec
+  std::vector<RuleInfo> rules;
+  SuppressionStyle suppressions;
+  /// Parses a spec into a ready Checker whose spec-anchored findings point
+  /// at `spec_path`; returns null and fills `error` on malformed input.
+  std::unique_ptr<Checker> (*load)(const std::string& spec_text,
+                                   const std::string& spec_path,
+                                   std::string& error);
+};
 
 // ---------------------------------------------------------------------------
 // SARIF export

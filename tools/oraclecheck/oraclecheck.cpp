@@ -1,6 +1,7 @@
 #include "oraclecheck.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -16,25 +17,44 @@ using textscan::tokenize;
 // ---------------------------------------------------------------------------
 // Rule catalogue
 
-const std::vector<textscan::RuleInfo>& rules() {
-  static const std::vector<textscan::RuleInfo> kRules = {
-      {"RNO601", "adversary TU includes or references live state outside the "
-                 "permitted read surface"},
-      {"RNO602", "adversary code reaches for the snapshot machinery instead "
-                 "of the harness-served stale view"},
-      {"RNO603", "protocol code includes an adversary header or names a "
-                 "concrete adversary strategy"},
-      {"RNO604", "staleness-arithmetic drift: serve site deviates from the "
-                 "spec-pinned stale_view(now - t) shape"},
-      {"RNO605", "adversary constructed with an inline Rng seed not derived "
-                 "from a dedicated split stream"},
-      {"RNO606", "adversary code reaches known-global mutable state (covert "
-                 "channel to the protocol layer)"},
-      {"RNO610", "oracle.toml drift (dead entrypoint/servesite or broken "
-                 "retention pin)"},
-      {"RNO690", "malformed reconfnet-oraclecheck suppression"},
+const textscan::Module& module() {
+  static const textscan::Module kModule = {
+      .name = "oraclecheck",
+      .default_spec = "tools/oraclecheck/oracle.toml",
+      .rules = {
+          {"RNO601",
+           "adversary TU includes or references live state outside the "
+           "permitted read surface"},
+          {"RNO602",
+           "adversary code reaches for the snapshot machinery instead of the "
+           "harness-served stale view"},
+          {"RNO603",
+           "protocol code includes an adversary header or names a concrete "
+           "adversary strategy"},
+          {"RNO604",
+           "staleness-arithmetic drift: serve site deviates from the "
+           "spec-pinned stale_view(now - t) shape"},
+          {"RNO605",
+           "adversary constructed with an inline Rng seed not derived from a "
+           "dedicated split stream"},
+          {"RNO606",
+           "adversary code reaches known-global mutable state (covert channel "
+           "to the protocol layer)"},
+          {"RNO610",
+           "oracle.toml drift (dead entrypoint/servesite or broken retention "
+           "pin)"},
+          {"RNO690", "malformed reconfnet-oraclecheck suppression"},
+      },
+      .suppressions = {"reconfnet-oraclecheck:", "RNO", "RNO690",
+                       /*count_carve_outs=*/true},
+      .load = [](const std::string& spec_text, const std::string& spec_path,
+                 std::string& error) -> std::unique_ptr<textscan::Checker> {
+        Spec spec;
+        if (!parse_spec(spec_text, spec, error)) return nullptr;
+        return std::make_unique<Driver>(std::move(spec), spec_path);
+      },
   };
-  return kRules;
+  return kModule;
 }
 
 // ---------------------------------------------------------------------------
@@ -129,16 +149,6 @@ bool parse_spec(const std::string& text, Spec& spec, std::string& error) {
       ServeSiteSpec site;
       if (!fill_servesite(section, site, error)) return false;
       spec.servesites.push_back(std::move(site));
-    } else if (!section.is_array_of_tables && section.name == "options") {
-      for (const auto& entry : section.entries) {
-        if (entry.key == "roots" && entry.is_array) {
-          spec.roots = entry.items;
-        } else {
-          error = "line " + std::to_string(entry.line) + ": unknown option " +
-                  entry.key;
-          return false;
-        }
-      }
     } else if (!section.is_array_of_tables && section.name == "surface") {
       for (const auto& entry : section.entries) {
         if (!entry.is_array) {
@@ -184,17 +194,8 @@ bool parse_spec(const std::string& text, Spec& spec, std::string& error) {
           return false;
         }
       }
-    } else if (!section.is_array_of_tables && section.name == "allow") {
-      for (const auto& entry : section.entries) {
-        if (!entry.is_array) {
-          error = "line " + std::to_string(entry.line) + ": bad allow array";
-          return false;
-        }
-        spec.allow[entry.key] = entry.items;
-      }
-    } else {
-      error = "line " + std::to_string(section.line) + ": unknown section " +
-              section.name;
+    } else if (!textscan::parse_shared_section(section, &spec.roots,
+                                               spec.allow, error)) {
       return false;
     }
   }
@@ -302,18 +303,6 @@ const std::set<std::string>& snapshot_calls() {
 
 Driver::Driver(Spec spec, std::string spec_path)
     : spec_(std::move(spec)), spec_path_(std::move(spec_path)) {}
-
-void Driver::add_file(const std::string& path, const std::string& content) {
-  files_.emplace(path, strip_source(path, content));
-}
-
-void Driver::set_partial(bool partial) { partial_ = partial; }
-
-bool Driver::allowed(const std::string& rule, const std::string& path) const {
-  auto it = spec_.allow.find(rule);
-  return it != spec_.allow.end() &&
-         textscan::matches_any_prefix(path, it->second);
-}
 
 Driver::Result Driver::run() {
   Result result;
@@ -461,24 +450,13 @@ Driver::Result Driver::run() {
           continue;
         }
       }
-      const std::vector<FunctionBody> defs = find_functions(toks, t);
-      for (const FunctionBody& def : defs) {
-        if (def.body_begin <= i && i < def.body_end) continue;  // recursion
-        for (std::size_t k = def.body_begin; k < def.body_end; ++k) {
-          if (toks[k].kind != Tok::Kind::kIdent) continue;
-          if (k > 0 && (toks[k - 1].text == "." || toks[k - 1].text == "->"))
-            continue;
-          if (is_global(toks[k].text)) {
-            result.findings.push_back(
-                {path, toks[i].line, "RNO606",
-                 "adversary code calls '" + t +
-                     "' which touches global mutable state '" + toks[k].text +
-                     "' (one-level call-graph walk)"});
-            k = def.body_end;
-            break;
-          }
-        }
-        break;  // first definition is the one-level approximation
+      const std::string global = textscan::callee_reach(toks, i, is_global);
+      if (!global.empty()) {
+        result.findings.push_back(
+            {path, toks[i].line, "RNO606",
+             "adversary code calls '" + t +
+                 "' which touches global mutable state '" + global +
+                 "' (one-level call-graph walk)"});
       }
     }
   }
@@ -781,52 +759,12 @@ Driver::Result Driver::run() {
     }
   }
 
-  // Suppressions: drop findings covered by an inline allow; flag malformed
-  // suppression comments; honour [allow] path carve-outs.
-  std::vector<Finding> kept;
-  for (Finding& finding : result.findings) {
-    if (allowed(finding.rule, finding.file)) {
-      ++result.suppressed;
-      result.suppressed_findings.push_back(std::move(finding));
-      continue;
-    }
-    kept.push_back(std::move(finding));
-  }
-  result.findings = std::move(kept);
-
-  for (const auto& [path, file] : files_) {
-    const textscan::LineSuppressions sup =
-        textscan::collect_suppressions(file, "reconfnet-oraclecheck:", "RNO");
-    for (std::size_t line : sup.malformed) {
-      if (allowed("RNO690", path)) continue;
-      result.findings.push_back(
-          {path, line, "RNO690",
-           "malformed reconfnet-oraclecheck suppression (want "
-           "'reconfnet-oraclecheck: allow(RNOnnn) reason')"});
-    }
-    std::set<std::pair<std::size_t, std::string>> used;
-    if (!sup.allow.empty()) {
-      std::vector<Finding> remaining;
-      for (Finding& finding : result.findings) {
-        if (finding.file == path) {
-          auto it = sup.allow.find(finding.line);
-          if (it != sup.allow.end() && it->second.count(finding.rule) != 0) {
-            ++result.suppressed;
-            used.insert({finding.line, finding.rule});
-            result.suppressed_findings.push_back(std::move(finding));
-            continue;
-          }
-        }
-        remaining.push_back(std::move(finding));
-      }
-      result.findings = std::move(remaining);
-    }
-    const auto stale = textscan::stale_suppressions(path, sup, used);
-    result.stale.insert(result.stale.end(), stale.begin(), stale.end());
-  }
-
-  textscan::sort_and_dedupe(result.findings);
-  textscan::sort_and_dedupe(result.suppressed_findings);
+  textscan::apply_suppressions(files_, spec_.allow, module().suppressions,
+                               std::exchange(result.findings, {}), result);
+  result.tallies = std::to_string(result.adversary_files) +
+                   " adversary files, " +
+                   std::to_string(result.servesites_checked) +
+                   " serve sites, ";
   return result;
 }
 

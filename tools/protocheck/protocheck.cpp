@@ -1,6 +1,7 @@
 #include "protocheck.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -19,21 +20,33 @@ using textscan::tokenize;
 // ---------------------------------------------------------------------------
 // Rule catalogue
 
-const std::vector<textscan::RuleInfo>& rules() {
-  static const std::vector<textscan::RuleInfo> kRules = {
-      {"RNP301", "Bus<T> binding with an undeclared message type"},
-      {"RNP302", "spec message never sent anywhere (orphan)"},
-      {"RNP303", "spec message never consumed via inbox() (orphan)"},
-      {"RNP304", "send site in a file not listed as a sender"},
-      {"RNP305", "inbox site in a file not listed as a receiver"},
-      {"RNP306", "send-site bits expression not among the spec formulas"},
-      {"RNP307", "payload member that cannot go on a wire"},
-      {"RNP308", "send after the bus's final step"},
-      {"RNP309", "pinned constant's token sequence missing"},
-      {"RNP310", "payload struct not found in its declared file"},
-      {"RNP390", "malformed reconfnet-protocheck suppression"},
+const textscan::Module& module() {
+  static const textscan::Module kModule = {
+      .name = "protocheck",
+      .default_spec = "tools/protocheck/protocol.toml",
+      .rules = {
+          {"RNP301", "Bus<T> binding with an undeclared message type"},
+          {"RNP302", "spec message never sent anywhere (orphan)"},
+          {"RNP303", "spec message never consumed via inbox() (orphan)"},
+          {"RNP304", "send site in a file not listed as a sender"},
+          {"RNP305", "inbox site in a file not listed as a receiver"},
+          {"RNP306", "send-site bits expression not among the spec formulas"},
+          {"RNP307", "payload member that cannot go on a wire"},
+          {"RNP308", "send after the bus's final step"},
+          {"RNP309", "pinned constant's token sequence missing"},
+          {"RNP310", "payload struct not found in its declared file"},
+          {"RNP390", "malformed reconfnet-protocheck suppression"},
+      },
+      .suppressions = {"reconfnet-protocheck:", "RNP", "RNP390",
+                       /*count_carve_outs=*/false},
+      .load = [](const std::string& spec_text, const std::string& spec_path,
+                 std::string& error) -> std::unique_ptr<textscan::Checker> {
+        Spec spec;
+        if (!parse_spec(spec_text, spec, error)) return nullptr;
+        return std::make_unique<Driver>(std::move(spec), spec_path);
+      },
   };
-  return kRules;
+  return kModule;
 }
 
 namespace {
@@ -154,27 +167,8 @@ bool parse_spec(const std::string& text, Spec& spec, std::string& error) {
       ConstantSpec constant;
       if (!fill_constant(section, constant, error)) return false;
       spec.constants.push_back(std::move(constant));
-    } else if (!section.is_array_of_tables && section.name == "options") {
-      for (const auto& entry : section.entries) {
-        if (entry.key == "roots" && entry.is_array) {
-          spec.roots = entry.items;
-        } else {
-          error = "line " + std::to_string(entry.line) +
-                  ": unknown option " + entry.key;
-          return false;
-        }
-      }
-    } else if (!section.is_array_of_tables && section.name == "allow") {
-      for (const auto& entry : section.entries) {
-        if (!entry.is_array) {
-          error = "line " + std::to_string(entry.line) + ": bad allow array";
-          return false;
-        }
-        spec.allow[entry.key] = entry.items;
-      }
-    } else {
-      error = "line " + std::to_string(section.line) + ": unknown section " +
-              section.name;
+    } else if (!textscan::parse_shared_section(section, &spec.roots,
+                                               spec.allow, error)) {
       return false;
     }
   }
@@ -529,18 +523,6 @@ std::string Driver::Extraction::struct_impurity(
 Driver::Driver(Spec spec, std::string spec_path)
     : spec_(std::move(spec)), spec_path_(std::move(spec_path)) {}
 
-void Driver::add_file(const std::string& path, const std::string& content) {
-  files_.emplace(path, strip_source(path, content));
-}
-
-void Driver::set_partial(bool partial) { partial_ = partial; }
-
-bool Driver::allowed(const std::string& rule, const std::string& path) const {
-  const auto it = spec_.allow.find(rule);
-  if (it == spec_.allow.end()) return false;
-  return textscan::matches_any_prefix(path, it->second);
-}
-
 Driver::Result Driver::run() {
   Result result;
   Extraction ex;
@@ -733,46 +715,10 @@ Driver::Result Driver::run() {
     }
   }
 
-  // Suppressions. Findings anchored to the spec file have no comment lines
-  // to carry suppressions; they are fixed in the spec or carved out via
-  // [allow].
-  std::map<std::string, textscan::LineSuppressions> suppressions;
-  for (const auto& [path, file] : files_) {
-    auto collected =
-        textscan::collect_suppressions(file, "reconfnet-protocheck:", "RNP");
-    for (const std::size_t line : collected.malformed) {
-      raw.push_back({path, line, "RNP390",
-                     "malformed suppression; expected "
-                     "`reconfnet-protocheck: allow(RNPxxx) reason`"});
-    }
-    suppressions.emplace(path, std::move(collected));
-  }
-  std::map<std::string, std::set<std::pair<std::size_t, std::string>>> used;
-  for (Finding& finding : raw) {
-    if (allowed(finding.rule, finding.file)) {
-      result.suppressed_findings.push_back(std::move(finding));
-      continue;
-    }
-    const auto file_it = suppressions.find(finding.file);
-    if (finding.rule != "RNP390" && file_it != suppressions.end()) {
-      const auto line_it = file_it->second.allow.find(finding.line);
-      if (line_it != file_it->second.allow.end() &&
-          line_it->second.count(finding.rule) != 0) {
-        ++result.suppressed;
-        used[finding.file].insert({finding.line, finding.rule});
-        result.suppressed_findings.push_back(std::move(finding));
-        continue;
-      }
-    }
-    result.findings.push_back(std::move(finding));
-  }
-  for (const auto& [path, sup] : suppressions) {
-    const auto stale = textscan::stale_suppressions(path, sup, used[path]);
-    result.stale.insert(result.stale.end(), stale.begin(), stale.end());
-  }
-
-  textscan::sort_and_dedupe(result.findings);
-  textscan::sort_and_dedupe(result.suppressed_findings);
+  // Findings anchored to the spec file have no comment lines to carry
+  // suppressions; they are fixed in the spec or carved out via [allow].
+  textscan::apply_suppressions(files_, spec_.allow, module().suppressions,
+                               std::move(raw), result);
   return result;
 }
 

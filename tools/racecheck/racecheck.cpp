@@ -1,6 +1,7 @@
 #include "racecheck.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -19,23 +20,38 @@ using textscan::tokenize;
 // ---------------------------------------------------------------------------
 // Rule catalogue
 
-const std::vector<textscan::RuleInfo>& rules() {
-  static const std::vector<textscan::RuleInfo> kRules = {
-      {"RNR501", "parallel lambda mutates shared state outside declared "
-                 "slots"},
-      {"RNR502", "Rng in a parallel region without split/derive from the "
-                 "shard index"},
-      {"RNR503", "container mutation indexed by something other than the "
-                 "shard index"},
-      {"RNR504", "completion-order merge (push into shared container) in a "
-                 "parallel body"},
-      {"RNR505", "ad-hoc synchronization primitive in src/ outside "
-                 "src/runtime/"},
-      {"RNR506", "parallel body reaches known-global mutable state"},
-      {"RNR510", "concurrency.toml drift (undeclared site or dead region)"},
-      {"RNR590", "malformed reconfnet-racecheck suppression"},
+const textscan::Module& module() {
+  static const textscan::Module kModule = {
+      .name = "racecheck",
+      .default_spec = "tools/racecheck/concurrency.toml",
+      .rules = {
+          {"RNR501",
+           "parallel lambda mutates shared state outside declared slots"},
+          {"RNR502",
+           "Rng in a parallel region without split/derive from the shard "
+           "index"},
+          {"RNR503",
+           "container mutation indexed by something other than the shard "
+           "index"},
+          {"RNR504",
+           "completion-order merge (push into shared container) in a parallel "
+           "body"},
+          {"RNR505",
+           "ad-hoc synchronization primitive in src/ outside src/runtime/"},
+          {"RNR506", "parallel body reaches known-global mutable state"},
+          {"RNR510", "concurrency.toml drift (undeclared site or dead region)"},
+          {"RNR590", "malformed reconfnet-racecheck suppression"},
+      },
+      .suppressions = {"reconfnet-racecheck:", "RNR", "RNR590",
+                       /*count_carve_outs=*/true},
+      .load = [](const std::string& spec_text, const std::string& spec_path,
+                 std::string& error) -> std::unique_ptr<textscan::Checker> {
+        Spec spec;
+        if (!parse_spec(spec_text, spec, error)) return nullptr;
+        return std::make_unique<Driver>(std::move(spec), spec_path);
+      },
   };
-  return kRules;
+  return kModule;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,16 +179,6 @@ bool parse_spec(const std::string& text, Spec& spec, std::string& error) {
       RegionSpec region;
       if (!fill_region(section, region, error)) return false;
       spec.regions.push_back(std::move(region));
-    } else if (!section.is_array_of_tables && section.name == "options") {
-      for (const auto& entry : section.entries) {
-        if (entry.key == "roots" && entry.is_array) {
-          spec.roots = entry.items;
-        } else {
-          error = "line " + std::to_string(entry.line) + ": unknown option " +
-                  entry.key;
-          return false;
-        }
-      }
     } else if (!section.is_array_of_tables && section.name == "shared") {
       for (const auto& entry : section.entries) {
         if (entry.key == "readonly_types" && entry.is_array) {
@@ -185,17 +191,8 @@ bool parse_spec(const std::string& text, Spec& spec, std::string& error) {
           return false;
         }
       }
-    } else if (!section.is_array_of_tables && section.name == "allow") {
-      for (const auto& entry : section.entries) {
-        if (!entry.is_array) {
-          error = "line " + std::to_string(entry.line) + ": bad allow array";
-          return false;
-        }
-        spec.allow[entry.key] = entry.items;
-      }
-    } else {
-      error = "line " + std::to_string(section.line) + ": unknown section " +
-              section.name;
+    } else if (!textscan::parse_shared_section(section, &spec.roots,
+                                               spec.allow, error)) {
       return false;
     }
   }
@@ -644,18 +641,6 @@ std::pair<std::size_t, std::size_t> select_arg(const std::vector<Tok>& toks,
 Driver::Driver(Spec spec, std::string spec_path)
     : spec_(std::move(spec)), spec_path_(std::move(spec_path)) {}
 
-void Driver::add_file(const std::string& path, const std::string& content) {
-  files_.emplace(path, strip_source(path, content));
-}
-
-void Driver::set_partial(bool partial) { partial_ = partial; }
-
-bool Driver::allowed(const std::string& rule, const std::string& path) const {
-  auto it = spec_.allow.find(rule);
-  return it != spec_.allow.end() &&
-         textscan::matches_any_prefix(path, it->second);
-}
-
 namespace {
 
 /// Per-site analysis context: the lambda, its locals, the shard-index
@@ -852,25 +837,13 @@ struct BodyAnalysis {
       if (locals.count(t) != 0) continue;
       if (textscan::cpp_keywords().count(t) != 0) continue;
       if (lambda.val_captures.count(t) != 0) continue;
-      const std::vector<FunctionBody> defs = find_functions(toks, t);
-      for (const FunctionBody& def : defs) {
-        if (def.body_begin <= i && i < def.body_end) continue;  // recursion
-        for (std::size_t k = def.body_begin; k < def.body_end; ++k) {
-          if (toks[k].kind != Tok::Kind::kIdent) continue;
-          if (k > 0 &&
-              (toks[k - 1].text == "." || toks[k - 1].text == "->")) {
-            continue;
-          }
-          if (is_global(toks[k].text)) {
-            flag(toks[i].line, "RNR506",
-                 "parallel body calls '" + t +
-                     "' which touches global mutable state '" + toks[k].text +
-                     "' (one-level call-graph walk)");
-            k = def.body_end;  // one finding per callee is enough
-            break;
-          }
-        }
-        break;  // first definition is the one-level approximation
+      const std::string global = textscan::callee_reach(
+          toks, i, [this](const std::string& name) { return is_global(name); });
+      if (!global.empty()) {
+        flag(toks[i].line, "RNR506",
+             "parallel body calls '" + t +
+                 "' which touches global mutable state '" + global +
+                 "' (one-level call-graph walk)");
       }
     }
   }
@@ -1046,52 +1019,12 @@ Driver::Result Driver::run() {
     }
   }
 
-  // Suppressions: drop findings covered by an inline allow; flag malformed
-  // suppression comments; honour [allow] path carve-outs.
-  std::vector<Finding> kept;
-  for (Finding& finding : result.findings) {
-    if (allowed(finding.rule, finding.file)) {
-      ++result.suppressed;
-      result.suppressed_findings.push_back(std::move(finding));
-      continue;
-    }
-    kept.push_back(std::move(finding));
-  }
-  result.findings = std::move(kept);
-
-  for (const auto& [path, file] : files_) {
-    const textscan::LineSuppressions sup =
-        textscan::collect_suppressions(file, "reconfnet-racecheck:", "RNR");
-    for (std::size_t line : sup.malformed) {
-      if (allowed("RNR590", path)) continue;
-      result.findings.push_back(
-          {path, line, "RNR590",
-           "malformed reconfnet-racecheck suppression (want "
-           "'reconfnet-racecheck: allow(RNRnnn) reason')"});
-    }
-    std::set<std::pair<std::size_t, std::string>> used;
-    if (!sup.allow.empty()) {
-      std::vector<Finding> remaining;
-      for (Finding& finding : result.findings) {
-        if (finding.file == path) {
-          auto it = sup.allow.find(finding.line);
-          if (it != sup.allow.end() && it->second.count(finding.rule) != 0) {
-            ++result.suppressed;
-            used.insert({finding.line, finding.rule});
-            result.suppressed_findings.push_back(std::move(finding));
-            continue;
-          }
-        }
-        remaining.push_back(std::move(finding));
-      }
-      result.findings = std::move(remaining);
-    }
-    const auto stale = textscan::stale_suppressions(path, sup, used);
-    result.stale.insert(result.stale.end(), stale.begin(), stale.end());
-  }
-
-  textscan::sort_and_dedupe(result.findings);
-  textscan::sort_and_dedupe(result.suppressed_findings);
+  textscan::apply_suppressions(files_, spec_.allow, module().suppressions,
+                               std::exchange(result.findings, {}), result);
+  result.tallies = std::to_string(result.sites_checked) +
+                   " dispatch sites, " +
+                   std::to_string(result.lambdas_checked) +
+                   " parallel lambdas, ";
   return result;
 }
 
