@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/hgraph.hpp"
@@ -28,23 +29,27 @@ namespace reconfnet::sampling {
 
 /// An element of the multiset M: the endpoint of a random walk starting at
 /// the owning node, together with the walk's length (validation metadata).
+/// Both fields are 32-bit: M holds m_0 entries per node and is the sampler's
+/// largest state, so the entry stays at 8 bytes (DESIGN.md §11).
 struct WalkEntry {
-  std::size_t vertex = 0;
-  std::size_t length = 0;
+  std::uint32_t vertex = 0;
+  std::uint32_t length = 0;
 };
+static_assert(sizeof(WalkEntry) == 8, "WalkEntry is the sampler's hot state");
 
 /// Per-node state machine for Algorithm 1 over dense vertex indices.
 /// A driver wires cores together: standalone over sim::Bus (below) or inside
-/// the reconfiguration protocols.
+/// the reconfiguration protocols. Vertex indices and walk lengths must fit in
+/// 32 bits; the constructor and init() throw std::invalid_argument otherwise.
 class HGraphSamplerCore {
  public:
   struct Request {
-    std::size_t requester = 0;
-    std::size_t requester_walk_length = 0;
+    std::uint32_t requester = 0;
+    std::uint32_t requester_walk_length = 0;
   };
   struct Response {
-    std::size_t vertex = 0;
-    std::size_t length = 0;
+    std::uint32_t vertex = 0;
+    std::uint32_t length = 0;
     bool ok = false;
   };
 
@@ -55,9 +60,17 @@ class HGraphSamplerCore {
   void init(const graph::HGraph& graph);
 
   /// Phase 2 of iteration i (1-based): extracts m_i entries from M; each
-  /// yields a request addressed to the extracted walk endpoint.
-  [[nodiscard]] std::vector<std::pair<std::size_t, Request>> make_requests(
-      int iteration);
+  /// yields a request addressed to the extracted walk endpoint, handed to
+  /// `sink(dest, request)` as it is drawn. A dry M ends the emission early.
+  template <typename Sink>
+  void emit_requests(int iteration, Sink&& sink) {
+    const std::size_t count = schedule_.m[static_cast<std::size_t>(iteration)];
+    for (std::size_t j = 0; j < count; ++j) {
+      WalkEntry entry;
+      if (!extract(entry)) break;
+      sink(entry.vertex, Request{self_, entry.length});
+    }
+  }
 
   /// Phase 3: serves one incoming request by extracting an entry from M and
   /// splicing the walks. A dry M yields ok = false.
@@ -84,19 +97,30 @@ class HGraphSamplerCore {
   [[nodiscard]] std::size_t failed_responses() const {
     return failed_responses_;
   }
-  [[nodiscard]] std::size_t self() const { return self_; }
+  [[nodiscard]] std::uint32_t self() const { return self_; }
   [[nodiscard]] const Schedule& schedule() const { return schedule_; }
 
  private:
-  std::size_t self_;
+  std::uint32_t self_;
   Schedule schedule_;
   support::Rng rng_;
   std::vector<WalkEntry> m_;
   std::size_t dry_events_ = 0;
   std::size_t failed_responses_ = 0;
 
-  /// Removes and returns a uniformly random entry, or nullopt if dry.
-  [[nodiscard]] bool extract(WalkEntry& out);
+  /// Removes a uniformly random entry into `out`; false (and a dry event)
+  /// if M is empty.
+  [[nodiscard]] bool extract(WalkEntry& out) {
+    if (m_.empty()) {
+      ++dry_events_;
+      return false;
+    }
+    const auto index = static_cast<std::size_t>(rng_.below(m_.size()));
+    out = m_[index];
+    m_[index] = m_.back();
+    m_.pop_back();
+    return true;
+  }
 };
 
 /// Result of a full standalone execution over all nodes of an H-graph.
@@ -115,6 +139,8 @@ struct HGraphSamplingResult {
 /// samples. Drives the cores over a sim::Bus with full communication-work
 /// accounting. An optional fault hook makes delivery lossy; lost or delayed
 /// traffic surfaces as dry multisets (success = false), never wrong samples.
+/// Throws std::invalid_argument if the graph has more than 2^32 - 1 vertices
+/// or the schedule's walks (length up to 2^T) would not fit in 32 bits.
 HGraphSamplingResult run_hgraph_sampling(const graph::HGraph& graph,
                                          const Schedule& schedule,
                                          support::Rng& rng,

@@ -21,6 +21,9 @@
 
 #include "adversary/churn.hpp"
 #include "churn/overlay.hpp"
+#include "graph/hgraph.hpp"
+#include "sampling/hgraph_sampler.hpp"
+#include "sampling/schedule.hpp"
 #include "tools/hotcheck/hotcheck.hpp"
 #include "sim/bus.hpp"
 #include "sim/types.hpp"
@@ -165,6 +168,45 @@ TEST(AllocBudget, ChurnOverlaySteadyEpochStaysUnderBudget) {
       << "steady epochs allocated " << used.allocations << " times over "
       << measured_rounds << " rounds (" << per_round << "/round, budget "
       << budget << ")";
+}
+
+// --- Algorithm 1 standalone run --------------------------------------------
+
+/// One warm run_hgraph_sampling at n=1024, the churn overlay's dominant cost
+/// (hgraph-sampler-* hotpaths). Every allocation is per node or per run: the
+/// cores and their multisets, the exactly reserved outbox, the inboxes'
+/// growth and the result vectors. None is per iteration or per message, so
+/// the budget pins both the count and the bytes of one run.
+TEST(AllocBudget, HGraphSamplingRunStaysUnderBudget) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  const std::uint64_t n = budget_value("sampling.hgraph_run", "n");
+  const auto c = static_cast<double>(budget_value("sampling.hgraph_run", "c"));
+  const std::uint64_t budget =
+      budget_value("sampling.hgraph_run", "allocs_per_run");
+  const std::uint64_t byte_budget =
+      budget_value("sampling.hgraph_run", "alloc_bytes_per_run");
+
+  support::Rng rng(0x5A3);
+  const auto graph =
+      graph::HGraph::random(static_cast<std::size_t>(n), 8, rng);
+  sampling::SamplingConfig config;
+  config.c = c;
+  const auto schedule = sampling::hgraph_schedule(
+      sampling::SizeEstimate::from_true_size(static_cast<std::size_t>(n)), 8,
+      config);
+  auto warm_rng = rng.split(1);
+  ASSERT_TRUE(sampling::run_hgraph_sampling(graph, schedule, warm_rng).success);
+
+  auto run_rng = rng.split(2);
+  support::AllocCounter scope;
+  const auto result = sampling::run_hgraph_sampling(graph, schedule, run_rng);
+  const support::AllocTotals used = scope.delta();
+  ASSERT_TRUE(result.success);
+  std::cout << "[ measured ] sampling.hgraph_run: " << used.allocations
+            << " allocations, " << used.bytes << " bytes (budget " << budget
+            << " allocations, " << byte_budget << " bytes)\n";
+  EXPECT_LE(used.allocations, budget);
+  EXPECT_LE(used.bytes, byte_budget);
 }
 
 // --- transport heartbeat receive path ---------------------------------------

@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "adversary/churn.hpp"
+#include "churn/overlay.hpp"
+#include "fault/injector.hpp"
 #include "graph/hgraph.hpp"
 #include "graph/hypercube.hpp"
 #include "sampling/hgraph_sampler.hpp"
@@ -129,7 +134,11 @@ TEST(HGraphSamplerCore, MakeRequestsExtractsScheduleSizes) {
   const auto schedule = small_hgraph_schedule(64);
   HGraphSamplerCore core(0, schedule, rng.split(1));
   core.init(g);
-  const auto requests = core.make_requests(1);
+  std::vector<std::pair<std::uint32_t, HGraphSamplerCore::Request>> requests;
+  core.emit_requests(1, [&](std::uint32_t dest,
+                            const HGraphSamplerCore::Request& request) {
+    requests.emplace_back(dest, request);
+  });
   EXPECT_EQ(requests.size(), schedule.m[1]);
   EXPECT_EQ(core.multiset().size(), schedule.m0() - schedule.m[1]);
   for (const auto& [dest, request] : requests) {
@@ -157,10 +166,31 @@ TEST(HGraphSamplerCore, DryMultisetReportsFailure) {
   starved.target_walk_length = 2;
   HGraphSamplerCore core(0, starved, rng.split(1));
   core.init(g);
-  EXPECT_TRUE(core.make_requests(1).empty());
+  std::size_t emitted = 0;
+  core.emit_requests(1, [&](std::uint32_t, const HGraphSamplerCore::Request&) {
+    ++emitted;
+  });
+  EXPECT_EQ(emitted, 0u);
   EXPECT_GT(core.dry_events(), 0u);
   const auto response = core.serve({1, 1});
   EXPECT_FALSE(response.ok);
+}
+
+TEST(HGraphSamplerCore, RejectsStateBeyond32Bits) {
+  // WalkEntry and the wire record hold 32-bit vertices and walk lengths;
+  // anything wider must be refused up front, never silently truncated.
+  support::Rng rng(29);
+  const auto schedule = small_hgraph_schedule(64);
+  EXPECT_THROW(HGraphSamplerCore(std::size_t{1} << 32, schedule, rng),
+               std::invalid_argument);
+  EXPECT_NO_THROW(HGraphSamplerCore(63, schedule, rng));
+  Schedule long_walks = schedule;
+  long_walks.iterations = 32;
+  long_walks.m.assign(33, 1);  // walks of length 2^32
+  EXPECT_THROW(HGraphSamplerCore(0, long_walks, rng), std::invalid_argument);
+  const auto g = graph::HGraph::random(64, 8, rng);
+  EXPECT_THROW((void)run_hgraph_sampling(g, long_walks, rng),
+               std::invalid_argument);
 }
 
 TEST(HGraphSampling, SucceedsWithLemma7Schedule) {
@@ -242,6 +272,119 @@ TEST(HGraphSampling, UndersizedScheduleRunsDry) {
   const auto result = run_hgraph_sampling(g, flat, seed);
   EXPECT_FALSE(result.success);
   EXPECT_GT(result.dry_events, 0u);
+}
+
+// --- golden outputs ---------------------------------------------------------
+// Checksums of complete runs pin Algorithm 1's outputs bit for bit, so a
+// change to the sampler's state layout or message flow that reorders one rng
+// draw or one delivery fails here.
+
+/// 64-bit FNV-1a over a stream of integers, each fed as 8 little-endian bytes.
+class Fnv1a {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename Values>
+  void add_all(const Values& values) {
+    add(values.size());
+    for (const auto value : values) add(static_cast<std::uint64_t>(value));
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t checksum(const HGraphSamplingResult& result) {
+  Fnv1a fnv;
+  fnv.add(result.samples.size());
+  for (const auto& samples : result.samples) fnv.add_all(samples);
+  for (const auto& lengths : result.walk_lengths) fnv.add_all(lengths);
+  fnv.add(static_cast<std::uint64_t>(result.rounds));
+  fnv.add(result.max_node_bits_per_round);
+  fnv.add(result.dry_events);
+  return fnv.value();
+}
+
+TEST(HGraphSampling, GoldenOutputChecksums) {
+  struct Case {
+    std::size_t n;
+    std::uint64_t seed;
+    std::uint64_t expected;
+  };
+  for (const Case& c : {Case{256, 21, 0x82f8c576bf724f2bULL},
+                        Case{256, 22, 0x16b6d5142c0b3ab8ULL},
+                        Case{1024, 23, 0xf63fd90bd5e5059bULL}}) {
+    support::Rng rng(c.seed);
+    const auto g = graph::HGraph::random(c.n, 8, rng);
+    auto seed = rng.split(1);
+    const auto result =
+        run_hgraph_sampling(g, small_hgraph_schedule(c.n), seed);
+    EXPECT_TRUE(result.success);
+    EXPECT_EQ(checksum(result), c.expected)
+        << "n=" << c.n << " seed=" << c.seed << std::hex << " got 0x"
+        << checksum(result);
+  }
+}
+
+TEST(HGraphSampling, GoldenOutputChecksumOfDryRun) {
+  // The dry path: extraction stops early and failed responses are dropped.
+  support::Rng rng(24);
+  const auto g = graph::HGraph::random(256, 8, rng);
+  Schedule flat;
+  flat.iterations = 3;
+  flat.m = {4, 4, 4, 4};
+  flat.target_walk_length = 8;
+  auto seed = rng.split(1);
+  const auto result = run_hgraph_sampling(g, flat, seed);
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(checksum(result), 0x1945542212a8000fULL)
+      << std::hex << "got 0x" << checksum(result);
+}
+
+TEST(HGraphSampling, GoldenOutputChecksumUnderFaults) {
+  // Lossy, duplicating, delaying and reordering delivery: delayed requests
+  // and responses land in later phases and must be handled identically.
+  support::Rng rng(25);
+  const auto g = graph::HGraph::random(256, 8, rng);
+  fault::FaultPlan plan;
+  plan.loss = 0.01;
+  plan.duplicate = 0.01;
+  plan.delay = 0.02;
+  plan.max_delay = 2;
+  plan.reorder = true;
+  fault::FaultInjector injector(plan, support::Rng(26));
+  auto seed = rng.split(1);
+  const auto result =
+      run_hgraph_sampling(g, small_hgraph_schedule(256), seed, &injector);
+  EXPECT_EQ(checksum(result), 0x4ceeeec13f30b2d3ULL)
+      << std::hex << "got 0x" << checksum(result);
+}
+
+TEST(ChurnOverlay, GoldenCycleOrderChecksum) {
+  // Algorithm 3 consumes Algorithm 1's samples as its placement targets, so
+  // two epochs' Hamilton cycles pin the sampler through its main consumer.
+  churn::ChurnOverlay::Config config;
+  config.initial_size = 1024;
+  config.sampling.c = 2.0;
+  config.seed = 27;
+  churn::ChurnOverlay overlay(config);
+  adversary::UniformChurn churn(0.02, 1.0, 2.0, support::Rng(28));
+  Fnv1a fnv;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    const auto report = overlay.run_epoch(churn);
+    ASSERT_TRUE(report.success) << report.failure_reason;
+    fnv.add(static_cast<std::uint64_t>(report.rounds));
+    for (int cycle = 0; cycle < config.degree / 2; ++cycle) {
+      fnv.add_all(overlay.cycle_order(cycle));
+    }
+  }
+  EXPECT_EQ(fnv.value(), 0x675cfbca878de31dULL)
+      << std::hex << "got 0x" << fnv.value();
 }
 
 // --- Algorithm 2 -----------------------------------------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "audit/audit.hpp"
 #include "sim/bus.hpp"
@@ -192,6 +195,93 @@ TEST(Bus, MetersDroppedMessages) {
   EXPECT_EQ(meter.history()[0].dropped_messages, 1u);
   // Sender is still charged for the send attempt.
   EXPECT_EQ(meter.history()[0].max_node_bits, 100u);
+}
+
+/// Everything a bus run exposes: each delivered (to, from, payload) in inbox
+/// order, and every field of the meter history, flattened for comparison.
+struct BusTrace {
+  std::vector<std::uint64_t> deliveries;
+  std::vector<std::uint64_t> work;
+};
+
+/// Three rounds of fan-out traffic among eight nodes, two sends per node per
+/// round, with distinct payloads and bit sizes.
+BusTrace drive_traffic(const BlockedSet& sending, const BlockedSet& delivery,
+                       std::size_t reserve) {
+  constexpr NodeId kNodes = 8;
+  WorkMeter meter;
+  Bus<int> bus(&meter);
+  if (reserve > 0) bus.reserve(reserve);
+  BusTrace trace;
+  for (int round = 0; round < 3; ++round) {
+    for (NodeId from = 0; from < kNodes; ++from) {
+      const auto r = static_cast<NodeId>(round);
+      const int payload = round * 100 + static_cast<int>(from);
+      bus.send(from, (from * 3 + r) % kNodes, payload, 8 + from);
+      bus.send(from, (kNodes - 1 - from + r) % kNodes, payload + 50,
+               16 + from);
+    }
+    bus.step(sending, delivery);
+    for (NodeId node = 0; node < kNodes; ++node) {
+      for (const auto& envelope : bus.inbox(node)) {
+        trace.deliveries.push_back(envelope.to);
+        trace.deliveries.push_back(envelope.from);
+        trace.deliveries.push_back(
+            static_cast<std::uint64_t>(envelope.payload));
+      }
+    }
+  }
+  for (const RoundWork& work : meter.history()) {
+    trace.work.insert(
+        trace.work.end(),
+        {static_cast<std::uint64_t>(work.round), work.max_node_bits,
+         work.total_bits, work.sent_messages, work.total_messages,
+         work.dropped_messages, work.injected_drops, work.duplicated_messages,
+         work.deferred_messages, work.released_messages});
+  }
+  return trace;
+}
+
+TEST(Bus, EmptyBlockedSetsMatchSetsNoMessageTouches) {
+  // step() skips the blocking-rule lookups when both sets are empty; with
+  // non-empty sets that name no sender or receiver, the checked path must
+  // deliver and meter exactly the same.
+  BlockedSet sending;
+  sending.insert(1000);
+  BlockedSet delivery;
+  delivery.insert(1001);
+  const BusTrace fast = drive_traffic(BlockedSet{}, BlockedSet{}, 0);
+  ASSERT_EQ(fast.deliveries.size(), 3u * 16u * 3u);
+  ASSERT_EQ(fast.work.size(), 3u * 10u);
+  for (const BusTrace& checked :
+       {drive_traffic(sending, delivery, 0),
+        drive_traffic(sending, BlockedSet{}, 0),
+        drive_traffic(BlockedSet{}, delivery, 0)}) {
+    EXPECT_EQ(checked.deliveries, fast.deliveries);
+    EXPECT_EQ(checked.work, fast.work);
+  }
+}
+
+TEST(Bus, ReserveChangesNoDeliveryOrMetering) {
+  BlockedSet sending;
+  sending.insert(2);
+  BlockedSet delivery;
+  delivery.insert(5);
+  for (const auto& [blocked_sending, blocked_delivery] :
+       {std::pair{BlockedSet{}, BlockedSet{}}, std::pair{sending, delivery}}) {
+    const BusTrace plain = drive_traffic(blocked_sending, blocked_delivery, 0);
+    // Undersized, exact and oversized reservations alike.
+    for (const std::size_t reserve : {3u, 16u, 1024u}) {
+      const BusTrace reserved =
+          drive_traffic(blocked_sending, blocked_delivery, reserve);
+      EXPECT_EQ(reserved.deliveries, plain.deliveries) << reserve;
+      EXPECT_EQ(reserved.work, plain.work) << reserve;
+    }
+  }
+  Bus<int> bus;
+  bus.reserve(64);
+  EXPECT_EQ(bus.pending(), 0u);
+  EXPECT_EQ(bus.round(), 0);
 }
 
 TEST(WorkMeter, TracksMaxAcrossRounds) {
