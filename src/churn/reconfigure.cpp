@@ -1,6 +1,7 @@
 #include "churn/reconfigure.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -45,32 +46,73 @@ ReconfigResult fail(std::string reason, sim::Round rounds,
   return result;
 }
 
-/// Drives one reliable phase to quiescence: step, drain every receiver's
-/// inbox, repeat until no send awaits an ack or the budget is spent, then
-/// flush any acks still queued so the shared WorkMeter's per-round accounts
-/// balance. Undelivered data past the budget is simply lost; the assembly
-/// validation downstream turns that into the usual epoch failure.
-template <typename Payload, typename OnReceive>
-sim::Round settle(fault::ReliableChannel<Payload>& channel,
-                  const std::vector<sim::NodeId>& receivers,
-                  sim::Round budget, OnReceive&& on_receive) {
-  sim::Round used = 0;
-  while (true) {
-    channel.step();
-    ++used;
-    for (const sim::NodeId node : receivers) {
-      for (auto& envelope : channel.receive(node)) {
-        on_receive(envelope.to, std::move(envelope.payload));
-      }
+/// The transport of one one-round phase (1, 3b or 4), chosen once per
+/// epoch and built alone: a bare bus stepped once, or — when the input asks
+/// for settle rounds — a ReliableChannel that retransmits until every send
+/// is acked.
+template <typename Payload>
+class PhaseTransport {
+ public:
+  PhaseTransport(sim::WorkMeter* meter, const ReconfigInput& input)
+      : settle_rounds_(input.reliable_settle_rounds) {
+    if (settle_rounds_ > 0) {
+      channel_.emplace(meter, input.fault_hook);
+    } else {
+      bus_.emplace(meter);
+      bus_->set_fault_hook(input.fault_hook);
     }
-    if (channel.pending_count() == 0 || used >= budget) break;
   }
-  if (channel.queued() > 0) {
-    channel.step();
-    ++used;
+
+  void send(sim::NodeId from, sim::NodeId to, Payload payload,
+            std::uint64_t bits) {
+    if (channel_) {
+      channel_->send(from, to, std::move(payload), bits);
+    } else {
+      bus_->send(from, to, std::move(payload), bits);
+    }
   }
-  return used;
-}
+
+  /// Delivers the phase: calls on_receive(node, payload) for every fresh
+  /// payload landing on one of `receivers` (every node a send or an ack
+  /// goes to) and returns the rounds it took. A reliable phase steps and
+  /// drains until no send awaits an ack or the settle budget is spent, then
+  /// flushes any acks still queued so the shared WorkMeter's per-round
+  /// accounts balance. Undelivered data past the budget is simply lost; the
+  /// assembly validation downstream turns that into the usual epoch failure.
+  template <typename OnReceive>
+  sim::Round deliver(const std::vector<sim::NodeId>& receivers,
+                     OnReceive&& on_receive) {
+    if (!channel_) {
+      bus_->step();
+      for (const sim::NodeId node : receivers) {
+        for (const auto& envelope : bus_->inbox(node)) {
+          on_receive(node, envelope.payload);
+        }
+      }
+      return 1;
+    }
+    sim::Round used = 0;
+    do {
+      channel_->step();
+      ++used;
+      for (const sim::NodeId node : receivers) {
+        for (const auto& envelope : channel_->receive(node)) {
+          on_receive(node, envelope.payload);
+        }
+      }
+    } while (channel_->pending_count() > 0 && used < settle_rounds_);
+    if (channel_->queued() > 0) {
+      channel_->step();
+      ++used;
+    }
+    return used;
+  }
+
+ private:
+  sim::Round settle_rounds_;
+  std::optional<sim::Bus<Payload>> bus_;
+  std::optional<fault::ReliableChannel<Payload>> channel_;
+};
 
 }  // namespace
 
@@ -154,21 +196,16 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
   }
   rounds += sampling_rounds;
 
-  // Reliable mode: the one-round phases below retransmit under a
-  // ReliableChannel until acked or the settle budget runs out.
-  const bool reliable = input.reliable_settle_rounds > 0;
-  // Dense receiver list shared by the reliable phases: data flows between
-  // old-member indices in phases 1 and 3b, and acks always return to them.
+  // Old-member indices: every phase's senders, so acks return to them, and
+  // the receivers of phases 1 and 3b.
   std::vector<sim::NodeId> indices(n);
   for (std::size_t v = 0; v < n; ++v) indices[v] = v;
 
   // --- Phase 1: send ids to sampled targets (one round bare; a reliable
   // epoch spends settle rounds collecting acks) -----------------------------
   std::vector<std::vector<PlaceMsg>> place_msgs(n);
-  sim::Bus<PlaceMsg> place_bus(&meter);
-  place_bus.set_fault_hook(input.fault_hook);
-  fault::ReliableChannel<PlaceMsg> place_channel(&meter, input.fault_hook);
   {
+    PhaseTransport<PlaceMsg> place(&meter, input);
     std::vector<std::size_t> cursor(n, 0);
     for (std::size_t v = 0; v < n; ++v) {
       for (int c = 0; c < cycles; ++c) {
@@ -177,31 +214,14 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
             return fail("sample pool exhausted", rounds, max_bits);
           }
           const std::size_t target = sample_pool[v][cursor[v]++];
-          if (reliable) {
-            place_channel.send(v, target, PlaceMsg{c, id},
-                               node_id_bits + sim::id_bits(n - 1));
-          } else {
-            place_bus.send(v, target, PlaceMsg{c, id},
-                           node_id_bits + sim::id_bits(n - 1));
-          }
+          place.send(v, target, PlaceMsg{c, id},
+                     node_id_bits + sim::id_bits(n - 1));
         }
       }
     }
-    if (reliable) {
-      rounds += settle(place_channel, indices, input.reliable_settle_rounds,
-                       [&](sim::NodeId to, PlaceMsg msg) {
-                         place_msgs[static_cast<std::size_t>(to)].push_back(
-                             msg);
-                       });
-    } else {
-      place_bus.step();
-      rounds += 1;
-      for (std::size_t v = 0; v < n; ++v) {
-        for (const auto& envelope : place_bus.inbox(v)) {
-          place_msgs[v].push_back(envelope.payload);
-        }
-      }
-    }
+    rounds += place.deliver(indices, [&](sim::NodeId to, const PlaceMsg& msg) {
+      place_msgs[static_cast<std::size_t>(to)].push_back(msg);
+    });
   }
 
   // --- Phase 2: collect and permute (local) --------------------------------
@@ -257,10 +277,7 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
   rounds += search_rounds;
 
   // --- Phase 3b: exchange boundary elements (one round) --------------------
-  sim::Bus<BoundaryMsg> boundary_bus(&meter);
-  boundary_bus.set_fault_hook(input.fault_hook);
-  fault::ReliableChannel<BoundaryMsg> boundary_channel(&meter,
-                                                       input.fault_hook);
+  PhaseTransport<BoundaryMsg> boundary(&meter, input);
   for (int c = 0; c < cycles; ++c) {
     const auto& search = searches[static_cast<std::size_t>(c)];
     for (std::size_t v = 0; v < n; ++v) {
@@ -268,19 +285,10 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
       if (bucket.empty()) continue;
       // Our u_m goes to the closest active successor (as their u_0); our u_1
       // goes to the closest active predecessor (as their u_{m+1}).
-      if (reliable) {
-        boundary_channel.send(v, search.next_active[v],
-                              BoundaryMsg{c, true, bucket.back()},
-                              node_id_bits);
-        boundary_channel.send(v, search.prev_active[v],
-                              BoundaryMsg{c, false, bucket.front()},
-                              node_id_bits);
-      } else {
-        boundary_bus.send(v, search.next_active[v],
-                          BoundaryMsg{c, true, bucket.back()}, node_id_bits);
-        boundary_bus.send(v, search.prev_active[v],
-                          BoundaryMsg{c, false, bucket.front()}, node_id_bits);
-      }
+      boundary.send(v, search.next_active[v],
+                    BoundaryMsg{c, true, bucket.back()}, node_id_bits);
+      boundary.send(v, search.prev_active[v],
+                    BoundaryMsg{c, false, bucket.front()}, node_id_bits);
     }
   }
 
@@ -288,30 +296,19 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
       u_next(static_cast<std::size_t>(cycles));
   for (auto& per_cycle : u0) per_cycle.assign(n, sim::kNoNode);
   for (auto& per_cycle : u_next) per_cycle.assign(n, sim::kNoNode);
-  const auto apply_boundary = [&](sim::NodeId to, const BoundaryMsg& msg) {
-    const auto c = static_cast<std::size_t>(msg.cycle);
-    const auto v = static_cast<std::size_t>(to);
-    if (msg.from_predecessor) {
-      u0[c][v] = msg.id;
-    } else {
-      u_next[c][v] = msg.id;
-    }
-  };
-  if (reliable) {
-    rounds += settle(boundary_channel, indices, input.reliable_settle_rounds,
-                     apply_boundary);
-  } else {
-    boundary_bus.step();
-    rounds += 1;
-    for (std::size_t v = 0; v < n; ++v) {
-      for (const auto& envelope : boundary_bus.inbox(v)) {
-        apply_boundary(v, envelope.payload);
-      }
-    }
-  }
+  rounds += boundary.deliver(
+      indices, [&](sim::NodeId to, const BoundaryMsg& msg) {
+        const auto c = static_cast<std::size_t>(msg.cycle);
+        const auto v = static_cast<std::size_t>(to);
+        if (msg.from_predecessor) {
+          u0[c][v] = msg.id;
+        } else {
+          u_next[c][v] = msg.id;
+        }
+      });
 
   // The new membership (deterministic placement order) is known before
-  // Phase 4 runs; building the index here lets the reliable arm bucket
+  // Phase 4 runs; building the index here lets Phase 4's deliver bucket
   // deliveries by new index as they arrive. The index maps arbitrary
   // (sparse) surviving ids to dense new indices, so it cannot itself be an
   // index-addressed table; it is built and queried once per reconfiguration,
@@ -334,10 +331,7 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
 
   // --- Phase 4: tell every placed id its new neighbors (one round) ---------
   std::vector<std::vector<NeighborMsg>> neighbor_msgs(new_n);
-  sim::Bus<NeighborMsg> neighbor_bus(&meter);
-  neighbor_bus.set_fault_hook(input.fault_hook);
-  fault::ReliableChannel<NeighborMsg> neighbor_channel(&meter,
-                                                       input.fault_hook);
+  PhaseTransport<NeighborMsg> neighbor(&meter, input);
   for (int c = 0; c < cycles; ++c) {
     for (std::size_t v = 0; v < n; ++v) {
       const auto& bucket = permuted[static_cast<std::size_t>(c)][v];
@@ -351,42 +345,24 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
             (i == 0) ? u0[cs][v] : bucket[i - 1];
         const sim::NodeId succ =
             (i + 1 == bucket.size()) ? u_next[cs][v] : bucket[i + 1];
-        if (reliable) {
-          neighbor_channel.send(v, bucket[i], NeighborMsg{c, pred, succ},
-                                2 * node_id_bits);
-        } else {
-          neighbor_bus.send(v, bucket[i], NeighborMsg{c, pred, succ},
-                            2 * node_id_bits);
-        }
+        neighbor.send(v, bucket[i], NeighborMsg{c, pred, succ},
+                      2 * node_id_bits);
       }
     }
   }
-  if (reliable) {
-    // Data lands on placed ids, acks return to the sender indices; the
-    // receiver list is the sorted union of both id spaces.
-    std::vector<sim::NodeId> receivers = indices;
-    receivers.insert(receivers.end(), new_members.begin(), new_members.end());
-    std::sort(receivers.begin(), receivers.end());
-    receivers.erase(std::unique(receivers.begin(), receivers.end()),
-                    receivers.end());
-    rounds += settle(neighbor_channel, receivers,
-                     input.reliable_settle_rounds,
-                     [&](sim::NodeId to, NeighborMsg msg) {
-                       // reconfnet-hotcheck: allow(RNH403) sparse-id remap
-                       const auto it = new_index.find(to);
-                       if (it != new_index.end()) {
-                         neighbor_msgs[it->second].push_back(msg);
-                       }
-                     });
-  } else {
-    neighbor_bus.step();
-    rounds += 1;
-    for (std::size_t index = 0; index < new_members.size(); ++index) {
-      for (const auto& envelope : neighbor_bus.inbox(new_members[index])) {
-        neighbor_msgs[index].push_back(envelope.payload);
-      }
-    }
-  }
+  // Data lands on placed ids, acks return to the sender indices; the
+  // receiver list is the sorted union of both id spaces.
+  std::vector<sim::NodeId> receivers = indices;
+  receivers.insert(receivers.end(), new_members.begin(), new_members.end());
+  std::sort(receivers.begin(), receivers.end());
+  receivers.erase(std::unique(receivers.begin(), receivers.end()),
+                  receivers.end());
+  rounds += neighbor.deliver(
+      receivers, [&](sim::NodeId to, const NeighborMsg& msg) {
+        // reconfnet-hotcheck: allow(RNH403) sparse-id remap
+        const auto it = new_index.find(to);
+        if (it != new_index.end()) neighbor_msgs[it->second].push_back(msg);
+      });
 
   // --- Assemble and validate the new topology ------------------------------
   // Each id fills its own successor-table cells from the Phase 4 messages it

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "support/rng.hpp"
 
 namespace reconfnet::fault {
 
@@ -127,5 +128,48 @@ struct FaultPlan {
     return *this;
   }
 };
+
+// The plan's scripted schedule as pure functions of (plan, node, tick): the
+// simulator's FaultInjector, the live PacketMangler and the in-process
+// deployment all ask these, so they agree window for window.
+
+/// True iff a scripted crash has `node` down at tick `tick`.
+[[nodiscard]] inline bool scripted_crash(const FaultPlan& plan,
+                                         sim::NodeId node, sim::Round tick) {
+  for (const CrashEvent& event : plan.crashes) {
+    if (event.node != node || tick < event.at) continue;
+    if (event.restart < 0 || tick < event.restart) return true;
+  }
+  return false;
+}
+
+/// True iff a scripted crash-stop (no restart) has taken `node` down for
+/// good by tick `tick`.
+[[nodiscard]] inline bool crash_stopped(const FaultPlan& plan,
+                                        sim::NodeId node, sim::Round tick) {
+  for (const CrashEvent& event : plan.crashes) {
+    if (event.node == node && event.restart < 0 && tick >= event.at) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// True iff an active partition separates `a` from `b` at tick `tick`.
+/// Id-threshold cuts split the same way everywhere; salted-hash cuts draw
+/// each node's side from `salt ^ event.salt`.
+[[nodiscard]] inline bool partitioned(const FaultPlan& plan, sim::NodeId a,
+                                      sim::NodeId b, sim::Round tick,
+                                      std::uint64_t salt) {
+  for (const PartitionEvent& event : plan.partitions) {
+    if (tick < event.start || tick >= event.heal) continue;
+    const auto side_a = [&](sim::NodeId node) {
+      if (event.id_below != sim::kNoNode) return node < event.id_below;
+      return support::hash_uniform(salt ^ event.salt, node, 0) < 0.5;
+    };
+    if (side_a(a) != side_a(b)) return true;
+  }
+  return false;
+}
 
 }  // namespace reconfnet::fault

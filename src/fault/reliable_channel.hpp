@@ -15,14 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
-#include "fault/plan.hpp"
+#include "fault/reliable_core.hpp"
 #include "sim/bus.hpp"
 #include "sim/types.hpp"
 
@@ -37,7 +35,10 @@ inline constexpr sim::Round kReliableBackoffCapRounds = 16;
 
 /// Ack/retry wrapper around one Bus. The caller drives the same synchronous
 /// skeleton as a bare bus — receive(v) for every node, compute, send(...),
-/// step() — and the channel retransmits unacked messages underneath.
+/// step() — and the channel retransmits unacked messages underneath. One
+/// ReliableSender holds the channel-wide sequence space and one
+/// ReliableReceiver its dedup state (fault/reliable_core.hpp); time is the
+/// bus round.
 template <typename Payload>
 class ReliableChannel {
  public:
@@ -51,7 +52,7 @@ class ReliableChannel {
   struct Config {
     sim::Round initial_timeout = kReliableInitialTimeoutRounds;
     sim::Round backoff_cap = kReliableBackoffCapRounds;
-    int max_retries = 0;  ///< 0 = retry until acked
+    int max_retries = 0;  ///< retransmissions before abandoning; 0 = no limit
     /// Wire width of the sequence number; sequence numbers wrap at 2^bits.
     /// The default matches the pinned wire format; tests shrink it to force
     /// the wraparound path without 2^32 sends.
@@ -71,11 +72,7 @@ class ReliableChannel {
 
   /// Why a queued send was given up on. Every abandonment is surfaced as a
   /// typed record (take_abandoned()), never just a counter bump.
-  enum class AbandonReason {
-    kRetryBudget,  ///< max_retries spent without an ack
-    kReset,        ///< caller reset the channel with sends in flight
-    kSeqWrap,      ///< sequence space wrapped; a stale era cannot be acked
-  };
+  using AbandonReason = fault::AbandonReason;
 
   /// One send the channel stopped retrying, with enough context for the
   /// caller to re-issue or escalate.
@@ -88,83 +85,72 @@ class ReliableChannel {
   };
 
  private:
-  /// One in-flight (sent, not yet acked) message.
-  struct Pending {
+  /// What a retransmission needs: the endpoints, the payload and the full
+  /// wire size (header included).
+  struct Outgoing {
     sim::NodeId from = sim::kNoNode;
     sim::NodeId to = sim::kNoNode;
-    ReliableMsg wire{};
-    std::uint64_t bits = 0;      ///< full wire size, header included
-    sim::Round next_retry = 0;   ///< bus round at which to retransmit
-    sim::Round timeout = 0;      ///< current backoff interval
-    int retries = 0;
+    Payload payload{};
+    std::uint64_t bits = 0;
   };
+  using Pending = typename ReliableSender<Outgoing>::Pending;
 
   // State precedes the methods: the protocol-conformance checker
   // (tools/protocheck) attributes send/inbox/step sites to the nearest
   // preceding Bus binding.
   sim::Bus<ReliableMsg> bus_;
-  Config config_;
-  /// seq -> in-flight send; ordered so the retransmit scan is deterministic.
-  std::map<std::uint64_t, Pending> pending_;
-  /// Sequence numbers accepted so far (lookup only, never iterated).
-  std::unordered_set<std::uint64_t> accepted_;
+  ReliableSender<Outgoing> sender_;
+  ReliableReceiver receiver_;
   std::vector<audit::DeliveryRecord> delivery_log_;
-  std::uint64_t next_seq_ = 0;
   Counters counters_;
   std::vector<AbandonedSend> abandoned_log_;
 
-  [[nodiscard]] std::uint64_t seq_mask() const {
-    return config_.seq_bits >= 64 ? ~0ull : (1ull << config_.seq_bits) - 1;
+  /// Puts one data copy on the bus.
+  void transmit(std::uint64_t seq, const Pending& entry) {
+    const Outgoing& out = entry.item;
+    bus_.send(out.from, out.to, ReliableMsg{false, seq, out.payload},
+              out.bits);
   }
 
-  /// Drops one in-flight send, recording the typed reason.
-  void abandon(const Pending& entry, AbandonReason reason) {
-    abandoned_log_.push_back(
-        {entry.from, entry.to, entry.wire.seq, entry.retries, reason});
-    ++counters_.abandoned;
+  /// The sender core's abandon callback: one typed record per dropped send.
+  [[nodiscard]] auto abandon_fn() {
+    return [this](std::uint64_t seq, const Pending& entry,
+                  AbandonReason reason) {
+      abandoned_log_.push_back({entry.item.from, entry.item.to, seq,
+                                entry.transmissions - 1, reason});
+      ++counters_.abandoned;
+    };
   }
 
  public:
   explicit ReliableChannel(sim::WorkMeter* meter = nullptr,
                            sim::DeliveryHook* fault_hook = nullptr,
                            Config config = {})
-      : bus_(meter), config_(config) {
+      : bus_(meter),
+        sender_({config.initial_timeout, config.backoff_cap,
+                 config.max_retries > 0 ? config.max_retries + 1 : 0,
+                 config.seq_bits}) {
     bus_.set_fault_hook(fault_hook);
   }
 
-  /// Queues one payload for reliable delivery. `payload_bits` is the bare
-  /// payload's wire size; the channel adds its header on top.
+  /// Queues one payload for reliable delivery and puts its first copy on
+  /// the bus. `payload_bits` is the bare payload's wire size; the channel
+  /// adds its header on top.
   void send(sim::NodeId from, sim::NodeId to, Payload payload,
             std::uint64_t payload_bits) {
-    const std::uint64_t data_bits = payload_bits + kReliableHeaderBits;
-    if (next_seq_ > seq_mask()) {
-      // Sequence space exhausted: start a fresh dedup era. Anything still
-      // unacked is from 2^seq_bits sends ago — surface it as a typed
-      // abandonment rather than risk its stale ack cancelling a reused
-      // sequence number, and clear the dedup state so reused numbers are
-      // not misread as duplicates.
+    if (sender_.wrap_if_exhausted(abandon_fn())) {
+      // A fresh era reuses sequence numbers, so the dedup state and the
+      // at-most-once log start over with it.
       ++counters_.seq_wraps;
-      for (auto& [seq, entry] : pending_) {
-        abandon(entry, AbandonReason::kSeqWrap);
-      }
-      pending_.clear();
-      accepted_.clear();
+      receiver_.restart();
       delivery_log_.clear();
-      next_seq_ = 0;
     }
-    ReliableMsg wire;
-    wire.seq = next_seq_++;
-    wire.payload = std::move(payload);
-    Pending entry;
-    entry.from = from;
-    entry.to = to;
-    entry.wire = wire;
-    entry.bits = data_bits;
-    entry.next_retry = bus_.round() + config_.initial_timeout;
-    entry.timeout = config_.initial_timeout;
-    bus_.send(from, to, wire, data_bits);
+    sender_.send({from, to, std::move(payload),
+                  payload_bits + kReliableHeaderBits},
+                 bus_.round(), [this](std::uint64_t seq, const Pending& entry) {
+                   transmit(seq, entry);
+                 });
     ++counters_.data_sent;
-    pending_.emplace(entry.wire.seq, std::move(entry));
   }
 
   /// Drains `node`'s inbox: consumes acks, acks every data receipt, dedups,
@@ -174,7 +160,7 @@ class ReliableChannel {
     for (const auto& envelope : bus_.inbox(node)) {
       const ReliableMsg& wire = envelope.payload;
       if (wire.is_ack) {
-        pending_.erase(wire.seq);
+        sender_.ack(wire.seq);
         continue;
       }
       // Always ack, even duplicates: the previous ack may have been lost.
@@ -183,7 +169,7 @@ class ReliableChannel {
       ack.seq = wire.seq;
       bus_.send(node, envelope.from, ack, kReliableAckBits);
       ++counters_.acks_sent;
-      if (!accepted_.insert(wire.seq).second) {
+      if (!receiver_.accept(wire.seq)) {
         ++counters_.duplicates_suppressed;
         continue;
       }
@@ -199,24 +185,13 @@ class ReliableChannel {
   /// out of retries, then steps the underlying bus.
   void step(const sim::BlockedSet& blocked_sending,
             const sim::BlockedSet& blocked_delivery) {
-    std::vector<std::uint64_t> expired;
-    for (auto& [seq, entry] : pending_) {
-      if (entry.next_retry > bus_.round()) continue;
-      if (config_.max_retries > 0 && entry.retries >= config_.max_retries) {
-        expired.push_back(seq);
-        continue;
-      }
-      ++entry.retries;
-      ++counters_.retransmissions;
-      entry.timeout = std::min(entry.timeout * 2, config_.backoff_cap);
-      entry.next_retry = bus_.round() + entry.timeout;
-      bus_.send(entry.from, entry.to, entry.wire, entry.bits);
-    }
-    for (const std::uint64_t seq : expired) {
-      const auto it = pending_.find(seq);
-      abandon(it->second, AbandonReason::kRetryBudget);
-      pending_.erase(it);
-    }
+    sender_.for_due(
+        bus_.round(),
+        [this](std::uint64_t seq, const Pending& entry) {
+          ++counters_.retransmissions;
+          transmit(seq, entry);
+        },
+        abandon_fn());
     if (audit::enabled()) {
       audit::enforce(audit::check_at_most_once(delivery_log_));
     }
@@ -236,10 +211,8 @@ class ReliableChannel {
   /// regression-tested in tests/fault_test.cpp).
   void reset() {
     ++counters_.resets;
-    for (auto& [seq, entry] : pending_) {
-      abandon(entry, AbandonReason::kReset);
-    }
-    pending_.clear();
+    sender_.drop_if([](const Pending&) { return true; },
+                    AbandonReason::kReset, abandon_fn());
   }
 
   /// Typed abandonment records accumulated since the last call, oldest
@@ -250,7 +223,7 @@ class ReliableChannel {
   }
 
   /// In-flight messages still awaiting an ack.
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_count() const { return sender_.size(); }
   /// Messages queued on the underlying bus for the current round.
   [[nodiscard]] std::size_t queued() const { return bus_.pending(); }
   [[nodiscard]] sim::Round round() const { return bus_.round(); }

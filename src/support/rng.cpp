@@ -19,6 +19,14 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+double hash_uniform(std::uint64_t salt, std::uint64_t a,
+                    std::uint64_t b) noexcept {
+  std::uint64_t state =
+      salt ^ (a * 0x9E3779B97F4A7C15ULL) ^ (b * 0xD1B54A32D192ED03ULL);
+  // 53 high-quality bits into [0, 1), same mapping as Rng::uniform.
+  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : state_) word = splitmix64(sm);

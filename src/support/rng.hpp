@@ -17,6 +17,12 @@ namespace reconfnet::support {
 /// twice for distinct inputs.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// Stateless draw in [0, 1): one splitmix64 step over salt, a and b. Pure, so
+/// schedule queries built on it (fault plans' crash and partition windows)
+/// answer the same whatever order they are asked in.
+double hash_uniform(std::uint64_t salt, std::uint64_t a,
+                    std::uint64_t b) noexcept;
+
 /// xoshiro256++ generator. Small, fast, and of far higher quality than
 /// std::minstd_rand; state is seeded via SplitMix64 so that any 64-bit seed
 /// yields a well-mixed initial state.

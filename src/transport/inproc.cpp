@@ -1,6 +1,7 @@
 #include "transport/inproc.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/rng.hpp"
 
@@ -63,12 +64,7 @@ InprocDeployment::Report InprocDeployment::run() {
     dead.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<sim::NodeId>(i);
-      for (const fault::CrashEvent& event : config_.plan.crashes) {
-        if (event.node == id && event.restart < 0 && round >= event.at) {
-          dead.push_back(id);
-          break;
-        }
-      }
+      if (fault::crash_stopped(config_.plan, id, round)) dead.push_back(id);
     }
     bool all_live_done = true;
     for (std::size_t i = 0; i < n; ++i) {
@@ -96,15 +92,12 @@ InprocDeployment::Report InprocDeployment::run() {
 
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<sim::NodeId>(i);
-    if (hub_.mangler().is_crashed(id, report.rounds)) {
-      bool forever = false;
-      for (const fault::CrashEvent& event : config_.plan.crashes) {
-        if (event.node == id && event.restart < 0) forever = true;
-      }
-      if (forever) {
-        ++report.crashed_forever;
-        continue;
-      }
+    // Down at the end and crash-stopped at some point: gone for good.
+    if (hub_.mangler().is_crashed(id, report.rounds) &&
+        fault::crash_stopped(config_.plan, id,
+                             std::numeric_limits<sim::Round>::max())) {
+      ++report.crashed_forever;
+      continue;
     }
     if (protocols_[i]->finished()) ++report.finished;
   }

@@ -129,7 +129,6 @@ class InprocDeployment {
   [[nodiscard]] const dos::GroupTable& initial_table() const {
     return *initial_table_;
   }
-  [[nodiscard]] const InprocHub& hub() const { return hub_; }
 
  private:
   InprocDeploymentConfig config_;

@@ -46,21 +46,23 @@ class PacketMangler {
 
   /// True iff `node` is down at round `tick` under the plan's scripted
   /// crashes. Pure in (node, tick).
-  [[nodiscard]] bool is_crashed(sim::NodeId node, sim::Round tick) const;
+  [[nodiscard]] bool is_crashed(sim::NodeId node, sim::Round tick) const {
+    return fault::scripted_crash(plan_, node, tick);
+  }
 
   /// True iff a partition separates `a` from `b` at round `tick`.
+  /// Deployments use id-threshold cuts so the side assignment is identical
+  /// across processes and across transports; salted-hash cuts fall back to
+  /// the deployment salt (which differs from the injector's rng-derived
+  /// salt, so cross-transport comparisons should prefer id_below).
   [[nodiscard]] bool partitioned(sim::NodeId a, sim::NodeId b,
-                                 sim::Round tick) const;
+                                 sim::Round tick) const {
+    return fault::partitioned(plan_, a, b, tick, salt_);
+  }
 
-  [[nodiscard]] const fault::FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  [[nodiscard]] bool side_a(sim::NodeId node,
-                            const fault::PartitionEvent& event) const;
-  [[nodiscard]] double hash_uniform(std::uint64_t salt, std::uint64_t a,
-                                    std::uint64_t b) const;
-
   fault::FaultPlan plan_;
   std::uint64_t salt_;
   Counters counters_;

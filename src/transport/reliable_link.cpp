@@ -1,89 +1,58 @@
 #include "transport/reliable_link.hpp"
 
-#include <algorithm>
+#include <cstring>
+#include <utility>
+
+#include "transport/wire.hpp"
 
 namespace reconfnet::transport {
-namespace {
-
-void put_u16(std::uint8_t* out, std::uint16_t value) {
-  out[0] = static_cast<std::uint8_t>(value);
-  out[1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void put_u32(std::uint8_t* out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-std::uint16_t get_u16(const std::uint8_t* in) {
-  return static_cast<std::uint16_t>(in[0] |
-                                    (static_cast<std::uint16_t>(in[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
 
 void encode_link_header(const LinkHeader& header, std::uint8_t* out) {
-  put_u16(out, kLinkMagic);
+  put_le(out, kLinkMagic);
   out[2] = kLinkVersion;
   out[3] = static_cast<std::uint8_t>(header.op);
-  put_u64(out + 4, header.from);
-  put_u32(out + 12, header.incarnation);
-  put_u32(out + 16, header.seq);
+  put_le(out + 4, header.from);
+  put_le(out + 12, header.incarnation);
+  put_le(out + 16, header.seq);
 }
 
 bool decode_link_header(std::span<const std::uint8_t> bytes,
                         LinkHeader& header) {
   if (bytes.size() < kLinkHeaderBytes) return false;
-  if (get_u16(bytes.data()) != kLinkMagic) return false;
+  if (get_le<std::uint16_t>(bytes.data()) != kLinkMagic) return false;
   if (bytes[2] != kLinkVersion) return false;
   if (bytes[3] > static_cast<std::uint8_t>(LinkOp::kAck)) return false;
   header.op = static_cast<LinkOp>(bytes[3]);
-  header.from = get_u64(bytes.data() + 4);
-  header.incarnation = get_u32(bytes.data() + 12);
-  header.seq = get_u32(bytes.data() + 16);
+  header.from = get_le<std::uint64_t>(bytes.data() + 4);
+  header.incarnation = get_le<std::uint32_t>(bytes.data() + 12);
+  header.seq = get_le<std::uint32_t>(bytes.data() + 16);
   return true;
 }
 
+ReliableLink::ReliableLink(LinkConfig config, sim::NodeId self,
+                           std::uint32_t incarnation, std::uint64_t seq_bits)
+    : self_(self),
+      incarnation_(incarnation),
+      sender_({config.initial_timeout_us, config.backoff_cap_us,
+               config.max_retries, seq_bits}) {}
+
 std::uint32_t ReliableLink::stage(std::span<const std::uint8_t> payload,
                                   std::int64_t now_us, std::int64_t tag) {
-  const std::uint32_t seq = next_seq_++;
-  Pending entry;
-  entry.tag = tag;
-  entry.datagram.resize(kLinkHeaderBytes + payload.size());
-  LinkHeader header;
-  header.op = LinkOp::kReliable;
-  header.from = self_;
-  header.incarnation = incarnation_;
-  header.seq = seq;
-  encode_link_header(header, entry.datagram.data());
-  std::memcpy(entry.datagram.data() + kLinkHeaderBytes, payload.data(),
+  if (sender_.wrap_if_exhausted(abandon_fn())) {
+    // Reused sequence numbers must not land on the peer's old dedup state:
+    // the next incarnation makes it start over, and acks for the old era
+    // (echoing the old incarnation) are ignored as stale.
+    ++incarnation_;
+  }
+  Outgoing out;
+  out.tag = tag;
+  out.datagram.resize(kLinkHeaderBytes + payload.size());
+  const auto seq = static_cast<std::uint32_t>(sender_.next_seq());
+  encode_link_header({LinkOp::kReliable, self_, incarnation_, seq},
+                     out.datagram.data());
+  std::memcpy(out.datagram.data() + kLinkHeaderBytes, payload.data(),
               payload.size());
-  entry.due_us = now_us;  // first transmission at the next for_due
-  entry.timeout_us = config_.initial_timeout_us;
-  pending_.emplace(seq, std::move(entry));
+  sender_.stage(std::move(out), now_us);
   ++counters_.staged;
   return seq;
 }
@@ -95,21 +64,15 @@ void ReliableLink::on_ack(std::uint32_t seq, std::uint32_t incarnation) {
     ++counters_.stale_incarnation;
     return;
   }
-  if (pending_.erase(seq) > 0) ++counters_.acked;
+  if (sender_.ack(seq)) ++counters_.acked;
 }
 
 std::size_t ReliableLink::cancel_stale(std::int64_t before_tag) {
-  std::size_t dropped = 0;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.tag < before_tag) {
-      it = pending_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  counters_.canceled += dropped;
-  return dropped;
+  return sender_.drop_if(
+      [before_tag](const Pending& entry) {
+        return entry.item.tag < before_tag;
+      },
+      fault::AbandonReason::kReset, abandon_fn());
 }
 
 bool ReliableLink::on_data(std::uint32_t seq, std::uint32_t incarnation) {
@@ -120,18 +83,12 @@ bool ReliableLink::on_data(std::uint32_t seq, std::uint32_t incarnation) {
   if (incarnation > peer_incarnation_) {
     // The peer restarted: new sequence space, fresh dedup state.
     peer_incarnation_ = incarnation;
-    floor_ = 0;
-    above_floor_.clear();
+    receiver_.restart();
   }
   ack_queue_.push_back(seq);
-  if (seq <= floor_ || above_floor_.count(seq) > 0) {
+  if (!receiver_.accept(seq)) {
     ++counters_.duplicates;
     return false;
-  }
-  above_floor_.insert(seq);
-  while (above_floor_.count(floor_ + 1) > 0) {
-    above_floor_.erase(floor_ + 1);
-    ++floor_;
   }
   ++counters_.delivered;
   return true;

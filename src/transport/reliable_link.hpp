@@ -2,33 +2,29 @@
 //
 // UDP loses, duplicates and reorders; the protocol frames (everything except
 // heartbeats) need at-most-once delivery. Each (local node, peer) pair gets
-// one ReliableLink holding both halves:
-//
-//   * sender half: stages full datagrams under fresh sequence numbers,
-//     retransmits on a capped binary-backoff timer until acked, and — after
-//     max_retries — abandons the send *loudly* (typed counter, surfaced in
-//     the node metrics) instead of blocking the round loop,
-//   * receiver half: acks every reliable datagram and deduplicates via a
-//     delivered floor plus an above-floor set, so retransmit-after-ack-loss
-//     never delivers twice.
+// one ReliableLink: the shared reliability core (fault/reliable_core.hpp)
+// clocked in microseconds — a ReliableSender staging full datagrams and
+// abandoning them loudly (typed counter, surfaced in the node metrics) once
+// max_retries transmissions went unacked, and a ReliableReceiver deduping the
+// peer's datagrams — plus the 20-byte link header and the incarnation checks.
 //
 // Incarnations make restarts safe: a rebooted process bumps its incarnation,
 // the receiver resets its dedup state on the first higher-incarnation
 // datagram, and stale acks or data from the previous life are ignored — the
-// live analog of fault::ReliableChannel's reset quarantine.
+// live analog of fault::ReliableChannel's reset quarantine. A sender whose
+// sequence space wraps treats that as a restart of its own half of the link:
+// it abandons what is in flight and moves to the next incarnation, so the
+// peer's dedup starts over instead of dropping reused numbers.
 //
 // The class is socket-free and clock-free (timestamps are passed in), so
 // tests drive it directly; the UDP transport owns the sockets.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <map>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "fault/reliable_core.hpp"
 #include "sim/types.hpp"
 
 namespace reconfnet::transport {
@@ -70,16 +66,17 @@ class ReliableLink {
     std::uint64_t staged = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t acked = 0;
-    std::uint64_t abandoned = 0;      ///< gave up after max_retries
+    std::uint64_t abandoned = 0;      ///< gave up (retry budget, seq wrap)
     std::uint64_t canceled = 0;       ///< dropped by cancel_stale()
     std::uint64_t delivered = 0;      ///< fresh incoming reliable datagrams
     std::uint64_t duplicates = 0;     ///< deduplicated incoming datagrams
     std::uint64_t stale_incarnation = 0;  ///< old-life data or acks dropped
   };
 
-  ReliableLink(LinkConfig config, sim::NodeId self,
-               std::uint32_t incarnation)
-      : config_(config), self_(self), incarnation_(incarnation) {}
+  /// `seq_bits` is the sequence width the sender wraps at: the header's 32
+  /// bits, shrunk by tests to reach the wrap without 2^32 stages.
+  ReliableLink(LinkConfig config, sim::NodeId self, std::uint32_t incarnation,
+               std::uint64_t seq_bits = 32);
 
   /// Sender half: wraps `payload` in a reliable-data header under a fresh
   /// sequence number and stages it for (re)transmission. The first
@@ -94,30 +91,18 @@ class ReliableLink {
 
   /// Sender half: invokes fn(bytes, attempt, tag) for every staged datagram
   /// due at `now_us` (attempt 0 = first transmission) and re-arms its
-  /// backoff. Datagrams exceeding max_retries are abandoned and counted
+  /// backoff. Datagrams out of transmissions are abandoned and counted
   /// instead.
   template <typename Fn>
   void for_due(std::int64_t now_us, Fn&& fn) {
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      Pending& entry = it->second;
-      if (now_us < entry.due_us) {
-        ++it;
-        continue;
-      }
-      if (entry.attempts >= config_.max_retries) {
-        ++counters_.abandoned;
-        it = pending_.erase(it);
-        continue;
-      }
-      fn(std::span<const std::uint8_t>(entry.datagram),
-         static_cast<std::uint32_t>(entry.attempts), entry.tag);
-      if (entry.attempts > 0) ++counters_.retransmits;
-      ++entry.attempts;
-      entry.due_us = now_us + entry.timeout_us;
-      entry.timeout_us = std::min(entry.timeout_us * 2,
-                                  config_.backoff_cap_us);
-      ++it;
-    }
+    sender_.for_due(
+        now_us,
+        [&](std::uint64_t, const Pending& entry) {
+          fn(std::span<const std::uint8_t>(entry.item.datagram),
+             static_cast<std::uint32_t>(entry.transmissions), entry.item.tag);
+          if (entry.transmissions > 0) ++counters_.retransmits;
+        },
+        abandon_fn());
   }
 
   /// Sender half: an ack for `seq` arrived from the peer.
@@ -143,33 +128,41 @@ class ReliableLink {
     ack_queue_.clear();
   }
 
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending() const { return sender_.size(); }
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] std::uint32_t peer_incarnation() const {
     return peer_incarnation_;
   }
 
  private:
-  struct Pending {
-    std::vector<std::uint8_t> datagram;  ///< header + payload, ready to send
-    std::int64_t due_us = 0;
-    std::int64_t timeout_us = 0;
-    std::int64_t tag = 0;  ///< caller context (the frame's protocol round)
-    int attempts = 0;
+  /// One staged datagram: header + payload, ready to send, and the caller
+  /// context (the frame's protocol round).
+  struct Outgoing {
+    std::vector<std::uint8_t> datagram;
+    std::int64_t tag = 0;
   };
+  using Pending = fault::ReliableSender<Outgoing>::Pending;
 
-  LinkConfig config_;
+  /// The sender core's abandon callback: a cancel counts as canceled,
+  /// everything else as abandoned.
+  [[nodiscard]] auto abandon_fn() {
+    return [this](std::uint64_t, const Pending&,
+                  fault::AbandonReason reason) {
+      if (reason == fault::AbandonReason::kReset) {
+        ++counters_.canceled;
+      } else {
+        ++counters_.abandoned;
+      }
+    };
+  }
+
   sim::NodeId self_;
-  std::uint32_t incarnation_;
+  std::uint32_t incarnation_;  ///< ours; bumped when our seq space wraps
 
-  // Sender half.
-  std::uint32_t next_seq_ = 1;
-  std::map<std::uint32_t, Pending> pending_;
+  fault::ReliableSender<Outgoing> sender_;
 
-  // Receiver half.
+  fault::ReliableReceiver receiver_;
   std::uint32_t peer_incarnation_ = 0;
-  std::uint32_t floor_ = 0;  ///< every seq <= floor_ was delivered
-  std::set<std::uint32_t> above_floor_;
   std::vector<std::uint32_t> ack_queue_;
 
   Counters counters_;

@@ -36,35 +36,17 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
   std::uint8_t u8() { return take(1) ? bytes_[pos_ - 1] : 0; }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    std::uint16_t v = 0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(
-          v | (static_cast<std::uint32_t>(bytes_[pos_ - 2 + i]) << (8 * i)));
-    }
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ - 4 + i]) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ - 8 + i]) << (8 * i);
-    }
-    return v;
-  }
+  std::uint16_t u16() { return take(2) ? get_le<std::uint16_t>(at(2)) : 0; }
+  std::uint32_t u32() { return take(4) ? get_le<std::uint32_t>(at(4)) : 0; }
+  std::uint64_t u64() { return take(8) ? get_le<std::uint64_t>(at(8)) : 0; }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
  private:
+  /// The `count` bytes take() just consumed.
+  const std::uint8_t* at(std::size_t count) const {
+    return bytes_.data() + pos_ - count;
+  }
   bool take(std::size_t count) {
     if (!ok_ || bytes_.size() - pos_ < count) {
       ok_ = false;

@@ -28,6 +28,23 @@ inline constexpr std::uint8_t kWireVersion = 1;
 /// Frame header: magic(2) + version(1) + kind(1) + sender round(8) +
 /// epoch(8) + attempt(4) + payload length(4).
 inline constexpr std::size_t kFrameHeaderBytes = 28;
+
+/// Fixed-width little-endian integers: the byte order of every frame and
+/// link-header field.
+template <typename T>
+void put_le(std::uint8_t* out, T value) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+template <typename T>
+[[nodiscard]] T get_le(const std::uint8_t* in) {
+  T value = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    value = static_cast<T>(value | (static_cast<T>(in[i]) << (8 * i)));
+  }
+  return value;
+}
 inline constexpr std::uint64_t kFrameHeaderBits = kFrameHeaderBytes * 8;
 /// One supernode-level sampler message on the wire: src(8) + dest(8) +
 /// seq(4) + index(4) + is_request(1) + request(8 + 4) + response(8 + 4 + 1).

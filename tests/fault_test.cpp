@@ -1,11 +1,13 @@
 // Tests for the deterministic fault-injection layer (src/fault/): the
 // FaultInjector's schedules and determinism contract, the ReliableChannel's
-// ack/retry/dedup machinery, and the graceful-degradation behavior of the
+// ack/retry/dedup machinery and the reliability core it shares with the live
+// transport's ReliableLink, and the graceful-degradation behavior of the
 // churn protocols under injected faults (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "sim/bus.hpp"
 #include "sim/metrics.hpp"
 #include "support/rng.hpp"
+#include "transport/reliable_link.hpp"
 
 namespace reconfnet::fault {
 namespace {
@@ -472,6 +475,72 @@ TEST(ReliableChannel, RecoversAfterPartitionHeals) {
   }
   EXPECT_EQ(channel.pending_count(), 0u);
   EXPECT_GT(injector.counters().partition_drops, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The reliability core both adapters share (fault/reliable_core.hpp)
+
+TEST(ReliableCore, SeqWrapOpensAFreshEraOnChannelAndLink) {
+  // Both adapters run the same sender/receiver core; a 3-bit sequence space
+  // wraps after a handful of sends instead of 2^32.
+
+  // Channel path: reused sequence numbers of a new era are delivered, not
+  // suppressed as duplicates of the previous era.
+  FaultInjector injector(FaultPlan::none(), support::Rng(5));
+  ReliableChannel<Probe>::Config config;
+  config.seq_bits = 3;  // seqs 0..7
+  ReliableChannel<Probe> channel(nullptr, &injector, config);
+  std::size_t channel_delivered = 0;
+  for (int i = 0; i < 20; ++i) {
+    channel.send(0, 1, Probe{i}, 8);
+    channel.step();
+    channel_delivered += channel.receive(1).size();
+    channel.step();
+    channel.receive(0);  // the ack clears the send before the next one
+  }
+  EXPECT_EQ(channel_delivered, 20u);
+  EXPECT_EQ(channel.counters().seq_wraps, 2u);
+  EXPECT_EQ(channel.counters().duplicates_suppressed, 0u);
+  EXPECT_TRUE(channel.take_abandoned().empty());
+
+  // Per-peer link path: the sender's wrap moves it to the next incarnation,
+  // so the peer's dedup starts over instead of dropping reused numbers.
+  using transport::LinkConfig;
+  transport::ReliableLink sender(LinkConfig{}, /*self=*/0, /*incarnation=*/0,
+                                 /*seq_bits=*/3);  // seqs 0..7
+  transport::ReliableLink receiver(LinkConfig{}, /*self=*/1,
+                                   /*incarnation=*/0);
+  std::size_t link_delivered = 0;
+  const auto exchange = [&](std::int64_t now_us) {
+    sender.for_due(now_us, [&](std::span<const std::uint8_t> bytes,
+                               std::uint32_t, std::int64_t) {
+      transport::LinkHeader header;
+      ASSERT_TRUE(transport::decode_link_header(bytes, header));
+      if (receiver.on_data(header.seq, header.incarnation)) ++link_delivered;
+    });
+    receiver.drain_acks([&](std::uint32_t seq) {
+      sender.on_ack(seq, receiver.peer_incarnation());
+    });
+  };
+  const std::vector<std::uint8_t> payload = {7};
+  for (int i = 0; i < 17; ++i) {
+    sender.stage(payload, i);
+    exchange(i);
+  }
+  EXPECT_EQ(link_delivered, 17u);
+  EXPECT_EQ(receiver.counters().duplicates, 0u);
+  EXPECT_EQ(receiver.peer_incarnation(), 2u);  // two wraps
+  EXPECT_EQ(sender.pending(), 0u);
+
+  // Sends still in flight when the space runs out are abandoned loudly.
+  for (int i = 0; i < 7; ++i) sender.stage(payload, 100);  // seqs 1..7
+  sender.stage(payload, 100);  // wraps
+  EXPECT_EQ(sender.counters().abandoned, 7u);
+  EXPECT_EQ(sender.pending(), 1u);
+  exchange(100);
+  EXPECT_EQ(link_delivered, 18u);
+  EXPECT_EQ(sender.pending(), 0u);
+  EXPECT_EQ(receiver.peer_incarnation(), 3u);
 }
 
 // ---------------------------------------------------------------------------

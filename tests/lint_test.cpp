@@ -1,9 +1,9 @@
 // Tests for reconfnet_lint (tools/lint/): one test per rule id, driven by the
 // fixture files in tests/lint_fixtures/, plus coverage for the suppression
 // syntax, the config parser, and the layer map. The fixtures directory is
-// excluded from the repo-wide walk in tools/lint/main.cpp, so the deliberate
-// violations below never reach the real gate; the tests feed them to the
-// Driver by hand under synthetic repo-relative paths.
+// excluded from the repo-wide walk in tools/reconfnet_check.cpp, so the
+// deliberate violations below never reach the real gate; the tests feed
+// them to the Driver by hand under synthetic repo-relative paths.
 #include <gtest/gtest.h>
 
 #include <fstream>

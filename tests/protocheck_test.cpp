@@ -265,6 +265,20 @@ TEST(ProtocheckRules, Rnp308FlagsPhaseOrderViolations) {
   EXPECT_EQ(result.findings.size(), 2u);
 }
 
+TEST(ProtocheckRules, BusWrapperInstancesAreBindings) {
+  pc::Spec spec;
+  spec.messages.push_back(
+      message("WrappedMsg", "src/fx/wrapped.cpp", {"kWrappedBits"}));
+  const auto result =
+      run_fixture("bus_wrapper.cpp", "src/fx/wrapped.cpp", spec);
+  // The wrapper's own Bus<Payload> members are generic (no RNP301), and the
+  // instances send and consume WrappedMsg (no RNP302/303). Line 40: drifted
+  // bits formula. Line 48: send after the instance's delivering call.
+  EXPECT_EQ(lines_of(result, "RNP306"), (Lines{40}));
+  EXPECT_EQ(lines_of(result, "RNP308"), (Lines{48}));
+  EXPECT_EQ(result.findings.size(), 2u);
+}
+
 TEST(ProtocheckRules, Rnp309AcceptsAndRejectsPinnedConstants) {
   pc::ConstantSpec pinned;
   pinned.name = "fixture.pinned_bits";

@@ -434,23 +434,15 @@ Driver::Result Driver::run() {
   result.files_checked = files_.size();
 
   // Tokenize every registered file once; hot files are analysed from this.
-  std::map<std::string, std::vector<Tok>> tokens;
-  for (const auto& [path, file] : files_) {
-    tokens.emplace(path, tokenize(file.code));
-  }
+  const textscan::TokenMap tokens = textscan::tokenize_files(files_);
 
   for (const HotPathSpec& hp : spec_.hotpaths) {
-    auto it = files_.find(hp.file);
-    if (it == files_.end()) {
-      if (!partial_) {
-        result.findings.push_back(
-            {spec_path_, hp.line, "RNH410",
-             "hotpath '" + hp.name + "': file " + hp.file +
-                 " is not in the tree"});
-      }
-      continue;
-    }
-    const std::vector<Tok>& toks = tokens.at(hp.file);
+    const textscan::SpecEntry entry{spec_path_, hp.line, "RNH410",
+                                    "hotpath '" + hp.name + "'"};
+    const std::vector<Tok>* hot = textscan::resolve_spec_file(
+        tokens, hp.file, entry, partial_ ? nullptr : &result.findings);
+    if (hot == nullptr) continue;
+    const std::vector<Tok>& toks = *hot;
     HotFileAnalysis analysis{toks, hp.file, result.findings, {}};
     analysis.collect_map_vars(toks);
     // Member maps are declared in the class body: when the hot file is a
@@ -465,15 +457,8 @@ Driver::Result Driver::run() {
       }
     }
     for (const std::string& fn_name : hp.functions) {
-      const std::vector<FunctionBody> defs = find_functions(toks, fn_name);
-      if (defs.empty()) {
-        result.findings.push_back(
-            {spec_path_, hp.line, "RNH410",
-             "hotpath '" + hp.name + "': function " + fn_name +
-                 " not found in " + hp.file});
-        continue;
-      }
-      for (const FunctionBody& fn : defs) {
+      for (const FunctionBody& fn : textscan::resolve_spec_function(
+               toks, hp.file, fn_name, entry, result.findings)) {
         ++result.hot_functions_checked;
         const std::vector<LoopRange> loops =
             collect_loops(toks, fn.body_begin, fn.body_end);

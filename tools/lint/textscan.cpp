@@ -274,6 +274,41 @@ std::vector<FunctionBody> find_functions(const std::vector<Tok>& toks,
   return out;
 }
 
+TokenMap tokenize_files(const std::map<std::string, SourceFile>& files) {
+  TokenMap tokens;
+  for (const auto& [path, file] : files) {
+    tokens.emplace(path, tokenize(file.code));
+  }
+  return tokens;
+}
+
+const std::vector<Tok>* resolve_spec_file(const TokenMap& tokens,
+                                          const std::string& file,
+                                          const SpecEntry& entry,
+                                          std::vector<Finding>* drift) {
+  const auto it = tokens.find(file);
+  if (it != tokens.end()) return &it->second;
+  if (drift != nullptr) {
+    drift->push_back({entry.spec_path, entry.line, entry.rule,
+                      entry.label + ": file " + file + " is not in the tree"});
+  }
+  return nullptr;
+}
+
+std::vector<FunctionBody> resolve_spec_function(const std::vector<Tok>& toks,
+                                                const std::string& file,
+                                                const std::string& function,
+                                                const SpecEntry& entry,
+                                                std::vector<Finding>& drift) {
+  std::vector<FunctionBody> defs = find_functions(toks, function);
+  if (defs.empty()) {
+    drift.push_back({entry.spec_path, entry.line, entry.rule,
+                     entry.label + ": function " + function +
+                         " not found in " + file});
+  }
+  return defs;
+}
+
 std::vector<LoopRange> collect_loops(const std::vector<Tok>& toks,
                                      std::size_t begin, std::size_t end) {
   std::vector<LoopRange> loops;

@@ -143,6 +143,34 @@ struct FunctionBody {
 std::vector<FunctionBody> find_functions(const std::vector<Tok>& toks,
                                          const std::string& name);
 
+/// Every registered file's token stream, keyed by repo-relative path.
+using TokenMap = std::map<std::string, std::vector<Tok>>;
+TokenMap tokenize_files(const std::map<std::string, SourceFile>& files);
+
+/// A spec entry naming a file (and function) to resolve, as its drift is
+/// reported: at (spec_path, line) under `rule`, led by `label` (e.g.
+/// "hotpath 'bus-per-message'").
+struct SpecEntry {
+  std::string spec_path;
+  std::size_t line = 0;
+  std::string rule;
+  std::string label;
+};
+
+/// Resolve-or-drift: the tokens of `file`, or nullptr after adding
+/// "<label>: file F is not in the tree" to `drift` (if non-null).
+const std::vector<Tok>* resolve_spec_file(const TokenMap& tokens,
+                                          const std::string& file,
+                                          const SpecEntry& entry,
+                                          std::vector<Finding>* drift);
+/// Resolve-or-drift: the definitions of `function` in `toks` (the tokens of
+/// `file`); none after adding "<label>: function X not found in F".
+std::vector<FunctionBody> resolve_spec_function(const std::vector<Tok>& toks,
+                                                const std::string& file,
+                                                const std::string& function,
+                                                const SpecEntry& entry,
+                                                std::vector<Finding>& drift);
+
 /// Token range of one loop body (for/while/do) inside a function body.
 struct LoopRange {
   std::size_t head = 0;  // token index of the loop keyword

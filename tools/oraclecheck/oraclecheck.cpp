@@ -308,10 +308,7 @@ Driver::Result Driver::run() {
   Result result;
   result.files_checked = files_.size();
 
-  std::map<std::string, std::vector<Tok>> tokens;
-  for (const auto& [path, file] : files_) {
-    tokens.emplace(path, tokenize(file.code));
-  }
+  const textscan::TokenMap tokens = textscan::tokenize_files(files_);
 
   const auto is_adversary = [&](const std::string& path) {
     return textscan::matches_any_prefix(path, spec_.adversary_paths);
@@ -656,15 +653,12 @@ Driver::Result Driver::run() {
   // --- RNO610: spec drift ---------------------------------------------------
   if (!partial_) {
     for (const EntrypointSpec& ep : spec_.entrypoints) {
-      auto it = tokens.find(ep.file);
-      if (it == tokens.end()) {
-        result.findings.push_back(
-            {spec_path_, ep.line, "RNO610",
-             "entrypoint '" + ep.name + "': file " + ep.file +
-                 " is not in the tree"});
-        continue;
-      }
-      const std::vector<Tok>& toks = it->second;
+      const textscan::SpecEntry entry{spec_path_, ep.line, "RNO610",
+                                      "entrypoint '" + ep.name + "'"};
+      const std::vector<Tok>* ep_toks = textscan::resolve_spec_file(
+          tokens, ep.file, entry, &result.findings);
+      if (ep_toks == nullptr) continue;
+      const std::vector<Tok>& toks = *ep_toks;
       bool iface = false;
       bool method = false;
       bool view = ep.view.empty();
@@ -698,28 +692,19 @@ Driver::Result Driver::run() {
       }
     }
     for (const ServeSiteSpec& site : spec_.servesites) {
-      auto it = tokens.find(site.file);
-      if (it == tokens.end()) {
-        result.findings.push_back(
-            {spec_path_, site.line, "RNO610",
-             "servesite '" + site.name + "': file " + site.file +
-                 " is not in the tree"});
-        continue;
-      }
-      const std::vector<FunctionBody> fns =
-          find_functions(it->second, site.function);
-      if (fns.empty()) {
-        result.findings.push_back(
-            {spec_path_, site.line, "RNO610",
-             "servesite '" + site.name + "': function " + site.function +
-                 " not found in " + site.file});
-        continue;
-      }
+      const textscan::SpecEntry entry{spec_path_, site.line, "RNO610",
+                                      "servesite '" + site.name + "'"};
+      const std::vector<Tok>* toks = textscan::resolve_spec_file(
+          tokens, site.file, entry, &result.findings);
+      if (toks == nullptr) continue;
+      const std::vector<FunctionBody> fns = textscan::resolve_spec_function(
+          *toks, site.file, site.function, entry, result.findings);
+      if (fns.empty()) continue;
       bool serves = false;
       for (const FunctionBody& fn : fns) {
         for (std::size_t k = fn.body_begin; k < fn.body_end && !serves; ++k) {
-          if (it->second[k].kind == Tok::Kind::kIdent &&
-              it->second[k].text == "serve_stale") {
+          if ((*toks)[k].kind == Tok::Kind::kIdent &&
+              (*toks)[k].text == "serve_stale") {
             serves = true;
           }
         }

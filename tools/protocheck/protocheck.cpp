@@ -212,6 +212,10 @@ struct Driver::Extraction {
     std::size_t decl_tok = 0;   // declaration token index
     std::string var;
     std::string msg;            // template argument's final identifier
+    /// Token range of the bus wrapper's class body when the binding is a
+    /// wrapper instance (`W<Msg> var`); both 0 for a plain Bus binding.
+    std::size_t wrapper_begin = 0;
+    std::size_t wrapper_end = 0;
     std::vector<SendSite> sends;
     std::vector<std::size_t> inbox_lines;
     std::vector<Event> events;
@@ -222,7 +226,7 @@ struct Driver::Extraction {
   std::map<std::string, std::vector<StructDef>> structs;
   /// `using X = std::shared_ptr<...>`-style aliases that hide a pointer.
   std::set<std::string> pointer_aliases;
-  std::map<std::string, std::vector<Tok>> tokens;  // per file
+  textscan::TokenMap tokens;  // per file
   std::vector<Binding> bindings;
 
   std::map<std::string, std::string> impurity_memo;
@@ -277,13 +281,68 @@ void Driver::Extraction::collect_global(const std::string& path) {
 void Driver::Extraction::collect_bindings_and_events(const std::string& path) {
   const std::vector<Tok>& toks = tokens.at(path);
 
-  // Pass 1: Bus<Msg> bindings. A re-declaration of the same variable name
-  // (two functions in one file each owning a `bus`) closes the previous
-  // binding: resolution below picks the binding with the largest declaration
-  // index at or before each use.
+  // Pass 0: bus wrappers. A class template holding a Bus of its own type
+  // parameter (`template <typename P> class W { ... Bus<P> ... }`) carries
+  // no wire format itself; its instances (`W<Msg> var`, Pass 1) are the
+  // bindings, so the sites stay attributed to the concrete message.
+  struct Wrapper {
+    std::string name;
+    std::size_t body_begin = 0;
+    std::size_t body_end = 0;
+    std::set<std::string> params;
+  };
+  std::vector<Wrapper> wrappers;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].text != "template" || !tok_is(toks, i + 1, "<")) continue;
+    const std::size_t past = skip_angles(toks, i + 1);
+    if (past + 1 >= toks.size() ||
+        (toks[past].text != "class" && toks[past].text != "struct") ||
+        toks[past + 1].kind != Tok::Kind::kIdent)
+      continue;
+    Wrapper wrapper;
+    wrapper.name = toks[past + 1].text;
+    for (std::size_t j = i + 2; j + 1 < past; ++j) {
+      if ((toks[j].text == "typename" || toks[j].text == "class") &&
+          toks[j + 1].kind == Tok::Kind::kIdent) {
+        wrapper.params.insert(toks[j + 1].text);
+      }
+    }
+    std::size_t open = past + 2;
+    while (open < toks.size() && toks[open].text != "{" &&
+           toks[open].text != ";")
+      ++open;
+    if (open >= toks.size() || toks[open].text != "{") continue;
+    wrapper.body_begin = open;
+    wrapper.body_end = match_bracket(toks, open);
+    for (std::size_t k = open; k + 3 < wrapper.body_end; ++k) {
+      if (toks[k].text == "Bus" && toks[k + 1].text == "<" &&
+          wrapper.params.count(toks[k + 2].text) != 0 &&
+          toks[k + 3].text == ">") {
+        wrappers.push_back(wrapper);
+        break;
+      }
+    }
+  }
+  const auto wrapper_around = [&](std::size_t at) -> const Wrapper* {
+    for (const Wrapper& wrapper : wrappers) {
+      if (wrapper.body_begin < at && at < wrapper.body_end) return &wrapper;
+    }
+    return nullptr;
+  };
+
+  // Pass 1: Bus<Msg> bindings and bus-wrapper instances. A re-declaration of
+  // the same variable name (two functions in one file each owning a `bus`)
+  // closes the previous binding: resolution below picks the binding with the
+  // largest declaration index at or before each use.
   const std::size_t first_binding = bindings.size();
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].text != "Bus" || !tok_is(toks, i + 1, "<")) continue;
+    const Wrapper* instance_of = nullptr;
+    for (const Wrapper& wrapper : wrappers) {
+      if (toks[i].text == wrapper.name) instance_of = &wrapper;
+    }
+    if ((toks[i].text != "Bus" && instance_of == nullptr) ||
+        !tok_is(toks, i + 1, "<"))
+      continue;
     const std::size_t past = skip_angles(toks, i + 1);
     if (past >= toks.size() || toks[past].kind != Tok::Kind::kIdent ||
         cpp_keywords().count(toks[past].text) != 0)
@@ -293,12 +352,18 @@ void Driver::Extraction::collect_bindings_and_events(const std::string& path) {
       if (toks[j].kind == Tok::Kind::kIdent) msg = toks[j].text;
     }
     if (msg.empty()) continue;
+    const Wrapper* around = wrapper_around(i);
+    if (around != nullptr && around->params.count(msg) != 0) continue;
     Binding binding;
     binding.file = path;
     binding.line = toks[past].line;
     binding.decl_tok = past;
     binding.var = toks[past].text;
     binding.msg = msg;
+    if (instance_of != nullptr) {
+      binding.wrapper_begin = instance_of->body_begin;
+      binding.wrapper_end = instance_of->body_end;
+    }
     bindings.push_back(std::move(binding));
   }
 
@@ -418,6 +483,26 @@ void Driver::Extraction::collect_bindings_and_events(const std::string& path) {
       binding->events.push_back(
           {Event::Kind::kSend, site.line, binding->sends.size()});
       binding->sends.push_back(std::move(site));
+    } else if (binding->wrapper_end > 0) {
+      // Any other wrapper member counts as what its body does to a bus:
+      // a step, an inbox read, or both.
+      for (const textscan::FunctionBody& fn :
+           textscan::find_functions(toks, method)) {
+        if (fn.body_begin < binding->wrapper_begin ||
+            fn.body_end > binding->wrapper_end)
+          continue;
+        bool steps = false;
+        bool reads = false;
+        for (std::size_t k = fn.body_begin; k + 1 < fn.body_end; ++k) {
+          if (toks[k].text != "." && toks[k].text != "->") continue;
+          steps = steps || toks[k + 1].text == "step";
+          reads = reads || toks[k + 1].text == "inbox";
+        }
+        if (reads) binding->inbox_lines.push_back(toks[i].line);
+        if (steps) {
+          binding->events.push_back({Event::Kind::kStep, toks[i].line, 0});
+        }
+      }
     }
   }
 }
@@ -526,9 +611,7 @@ Driver::Driver(Spec spec, std::string spec_path)
 Driver::Result Driver::run() {
   Result result;
   Extraction ex;
-  for (const auto& [path, file] : files_) {
-    ex.tokens.emplace(path, tokenize(file.code));
-  }
+  ex.tokens = textscan::tokenize_files(files_);
   for (const auto& [path, file] : files_) ex.collect_global(path);
   for (const auto& [path, file] : files_) {
     ++result.files_checked;

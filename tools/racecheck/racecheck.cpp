@@ -869,10 +869,7 @@ Driver::Result Driver::run() {
   Result result;
   result.files_checked = files_.size();
 
-  std::map<std::string, std::vector<Tok>> tokens;
-  for (const auto& [path, file] : files_) {
-    tokens.emplace(path, tokenize(file.code));
-  }
+  const textscan::TokenMap tokens = textscan::tokenize_files(files_);
 
   // RNR505 — ad-hoc synchronization in src/ outside src/runtime/. Requires
   // the `std ::` qualifier so include lines and domain identifiers that
@@ -995,19 +992,15 @@ Driver::Result Driver::run() {
       const RegionSpec& region = spec_.regions[ri];
       if (region_hit[ri]) continue;
       if (!region.file.empty()) {
-        auto it = tokens.find(region.file);
-        if (it == tokens.end()) {
-          result.findings.push_back(
-              {spec_path_, region.line, "RNR510",
-               "region '" + region.name + "': file " + region.file +
-                   " is not in the tree"});
-          continue;
-        }
-        if (find_functions(it->second, region.function).empty()) {
-          result.findings.push_back(
-              {spec_path_, region.line, "RNR510",
-               "region '" + region.name + "': function " + region.function +
-                   " not found in " + region.file});
+        const textscan::SpecEntry entry{spec_path_, region.line, "RNR510",
+                                        "region '" + region.name + "'"};
+        const std::vector<Tok>* toks = textscan::resolve_spec_file(
+            tokens, region.file, entry, &result.findings);
+        if (toks == nullptr ||
+            textscan::resolve_spec_function(*toks, region.file,
+                                            region.function, entry,
+                                            result.findings)
+                .empty()) {
           continue;
         }
       }
