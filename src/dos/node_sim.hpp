@@ -24,9 +24,12 @@
 // (Lemma 15). Blocking follows the paper's delivery rule throughout, via
 // sim::Bus, and communication work is metered for real.
 //
-// This is the high-fidelity counterpart of DosOverlay's group-level fast
-// path; tests cross-validate the two (identical success conditions,
-// consistent group statistics, agreeing state machines).
+// The protocol itself is transport::NodeProtocol, the one Section 5 state
+// machine (also run lockstep by InprocDeployment and live over UDP);
+// run_node_level_epoch, defined in transport/node_level.cpp, is its
+// node-level driver under the DoS adversary. This is the high-fidelity
+// counterpart of DosOverlay's group-level fast path; tests cross-validate
+// the two (identical success conditions, consistent group statistics).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,7 @@
 
 #include "dos/group_table.hpp"
 #include "sampling/schedule.hpp"
-#include "sim/bus.hpp"
+#include "sim/blocked.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -45,9 +48,6 @@ namespace reconfnet::dos {
 
 struct NodeLevelConfig {
   sampling::SamplingConfig sampling{};
-  int size_estimate_slack = 0;
-  /// Optional fault-injection hook attached to the epoch's bus.
-  sim::DeliveryHook* fault_hook = nullptr;
 };
 
 struct NodeLevelReport {

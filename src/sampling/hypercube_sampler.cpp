@@ -121,6 +121,11 @@ void HypercubeSamplerCore::restore_blocks(
   blocks_ = std::move(blocks);
 }
 
+std::vector<std::vector<std::uint64_t>>
+HypercubeSamplerCore::release_blocks() {
+  return std::exchange(blocks_, {});
+}
+
 int HypercubeSamplerCore::window_width(int j, int iterations_done) const {
   const int nominal = 1 << iterations_done;
   return std::min(nominal, dimension_ - j + 1);

@@ -84,6 +84,11 @@ class HypercubeSamplerCore {
   /// part of the replicated state and stay untouched.
   void restore_blocks(std::vector<std::vector<std::uint64_t>> blocks);
 
+  /// Moves every block out, the inverse of restore_blocks(): how a replica
+  /// freezes the state it just advanced into an immutable snapshot without
+  /// copying it. Leaves the core with no blocks; restore before reuse.
+  [[nodiscard]] std::vector<std::vector<std::uint64_t>> release_blocks();
+
   /// Width of the coordinate window [j, j + width) of block j after
   /// `iterations_done` completed iterations.
   [[nodiscard]] int window_width(int j, int iterations_done) const;

@@ -1,60 +1,39 @@
 #include "transport/inproc.hpp"
 
-#include <algorithm>
 #include <limits>
 
+#include "sim/bus.hpp"
 #include "support/rng.hpp"
+#include "transport/mangler.hpp"
 
 namespace reconfnet::transport {
 
-void InprocTransport::send(sim::NodeId to, const Message& msg) {
-  // Heartbeats carry no protocol content and the lockstep driver needs no
-  // liveness signal; the protocol meters them, the hub skips them.
-  if (msg.kind == MsgKind::kHeartbeat) return;
-  if (hub_->mangler().drop(self_, to, hub_->round(), /*attempt=*/0)) return;
-  encode(msg, encode_scratch_);
-  ++counters_.datagrams_sent;
-  hub_->send(self_, to, encode_scratch_);
-}
-
-void InprocTransport::poll(std::vector<sim::Envelope<Message>>& out) {
-  for (const auto& envelope : hub_->inbox(self_)) {
-    sim::Envelope<Message> frame;
-    frame.from = envelope.from;
-    frame.to = self_;
-    if (!decode(envelope.payload.bytes, frame.payload)) {
-      ++counters_.decode_failures;
-      continue;
-    }
-    ++counters_.datagrams_received;
-    out.push_back(std::move(frame));
-  }
-}
-
 InprocDeployment::InprocDeployment(InprocDeploymentConfig config)
-    : config_(config), hub_(config.plan, config.fault_salt) {
+    : config_(std::move(config)) {
   std::vector<sim::NodeId> ids;
   ids.reserve(static_cast<std::size_t>(config_.nodes));
   for (int i = 0; i < config_.nodes; ++i) {
     ids.push_back(static_cast<sim::NodeId>(i));
   }
   support::Rng table_rng(config_.table_seed);
-  initial_table_ = std::make_unique<dos::GroupTable>(
+  initial_table_ = std::make_shared<const dos::GroupTable>(
       dos::GroupTable::random(config_.dimension, ids, table_rng));
   protocols_.reserve(ids.size());
-  endpoints_.reserve(ids.size());
   for (const sim::NodeId id : ids) {
-    protocols_.push_back(std::make_unique<NodeProtocol>(
-        id, *initial_table_, config_.protocol));
-    endpoints_.push_back(std::make_unique<InprocTransport>(&hub_, id));
+    protocols_.push_back(
+        std::make_unique<NodeProtocol>(id, initial_table_, config_.protocol));
   }
 }
 
 InprocDeployment::Report InprocDeployment::run() {
   Report report;
   const auto n = static_cast<std::size_t>(config_.nodes);
+  PacketMangler mangler(config_.plan, config_.fault_salt);
+  // No DoS blocking and no work meter: each NodeProtocol counts its own
+  // frames' wire bits, so the bus is charged nothing.
+  constexpr std::uint64_t kUnmeteredBits = 0;
+  sim::Bus<Message> bus;
   std::vector<sim::NodeId> dead;  // crash-stop nodes, sorted
-  std::vector<sim::Envelope<Message>> inbox;
   NodeProtocol::Outbox outbox;
 
   for (sim::Round round = 0; round < config_.max_rounds; ++round) {
@@ -69,20 +48,22 @@ InprocDeployment::Report InprocDeployment::run() {
     bool all_live_done = true;
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<sim::NodeId>(i);
-      if (hub_.mangler().is_crashed(id, round)) continue;
-      if (round > 0 && hub_.mangler().is_crashed(id, round - 1)) {
-        protocols_[i] = std::make_unique<NodeProtocol>(
-            id, *initial_table_, config_.protocol);
+      if (mangler.is_crashed(id, round)) continue;
+      if (round > 0 && mangler.is_crashed(id, round - 1)) {
+        protocols_[i] = std::make_unique<NodeProtocol>(id, initial_table_,
+                                                       config_.protocol);
       }
-      inbox.clear();
-      endpoints_[i]->poll(inbox);
       outbox.clear();
       const bool running =
-          protocols_[i]->on_round(round, inbox, outbox, dead);
-      for (auto& [to, msg] : outbox) endpoints_[i]->send(to, msg);
+          protocols_[i]->on_round(round, bus.inbox(id), outbox, dead);
+      for (auto& [to, msg] : outbox) {
+        if (config_.on_send) config_.on_send(id, to, msg);
+        if (mangler.drop(id, to, round, /*attempt=*/0)) continue;
+        bus.send(id, to, std::move(msg), kUnmeteredBits);
+      }
       if (running) all_live_done = false;
     }
-    hub_.step();
+    bus.step();
     report.rounds = round + 1;
     if (all_live_done) {
       report.all_live_finished = true;
@@ -93,7 +74,7 @@ InprocDeployment::Report InprocDeployment::run() {
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<sim::NodeId>(i);
     // Down at the end and crash-stopped at some point: gone for good.
-    if (hub_.mangler().is_crashed(id, report.rounds) &&
+    if (mangler.is_crashed(id, report.rounds) &&
         fault::crash_stopped(config_.plan, id,
                              std::numeric_limits<sim::Round>::max())) {
       ++report.crashed_forever;

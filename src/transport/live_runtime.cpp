@@ -40,11 +40,11 @@ LiveNodeRuntime::LiveNodeRuntime(LiveConfig config, Clock* clock)
     ids.push_back(static_cast<sim::NodeId>(i));
   }
   support::Rng table_rng(config_.table_seed);
-  dos::GroupTable initial =
-      dos::GroupTable::random(config_.dimension, ids, table_rng);
-
-  protocol_ = std::make_unique<NodeProtocol>(config_.self, std::move(initial),
-                                             config_.protocol);
+  protocol_ = std::make_unique<NodeProtocol>(
+      config_.self,
+      std::make_shared<const dos::GroupTable>(
+          dos::GroupTable::random(config_.dimension, ids, table_rng)),
+      config_.protocol);
   mangler_ = std::make_unique<PacketMangler>(
       parse_plan(config_.plan_spec, config_.nodes, protocol_->epoch_rounds()),
       config_.fault_salt);

@@ -1,33 +1,37 @@
-// Per-node state machine of the Section 5 protocol (DESIGN.md §15).
+// Per-node state machine of the Section 5 protocol (DESIGN.md §15): the one
+// implementation of the replicated-supernode epoch — candidate/sync rounds,
+// lowest-id adoption, state-broadcast resyncs and the four reorganization
+// rounds of Lemma 15 — expressed as one node's view: receive frames,
+// compute, emit frames. Two drivers run it over a sim::Bus<Message>:
 //
-// dos/node_sim.cpp runs the whole replicated-supernode epoch inside one
-// function with shared memory; this class re-expresses the SAME protocol as
-// one node's view — receive frames, compute, emit frames — so it can run
-// over any Transport: the in-process bus (lockstep, deterministic) or live
-// UDP across processes (deadline-paced). Decision for decision it mirrors
-// node_sim (candidate/sync rounds, lowest-id adoption, the four
-// reorganization rounds), and it replays node_sim's exact per-epoch Rng
-// split order, so a no-fault in-process run reproduces run_node_level_epoch's
-// reorganized group table bit for bit (asserted in tests/transport_test.cpp).
+//   * dos::run_node_level_epoch (transport/node_level.cpp) runs n instances
+//     for one epoch under the DoS adversary's blocked sets, calling each node
+//     only in rounds where it is available, and stops after round D;
+//   * InprocDeployment (inproc.hpp) runs them lockstep for whole epochs under
+//     a FaultPlan, and LiveNodeRuntime (live_runtime.hpp) runs one instance
+//     per process over live UDP.
 //
-// On top of node_sim's rounds the per-node protocol adds what a distributed
-// run needs and a centralized one does not:
-//   * a d-round hypercube all-gather of the new group table (node_sim reads
-//     it out of shared memory; live nodes must learn it to start the next
-//     epoch),
+// In process every frame's bulky Body (sampler state, candidate outbox,
+// group lists, table fragments) is built once per sender per round and
+// shared by handle: adopting a winner's state or resyncing from a broadcast
+// copies a pointer, never sampler blocks.
+//
+// Past round D the protocol adds what a distributed run needs and a
+// centralized one does not:
+//   * a d-round hypercube all-gather of the new group table (live nodes must
+//     learn it to start the next epoch),
 //   * a commit/fallback round: a node whose gathered table is incomplete or
 //     conflicted — or whose old group voted incomplete — falls back to the
 //     previous configuration and retries the epoch with fresh streams,
 //     bounded by max_attempts (graceful degradation, never wedge),
 //   * epoch/attempt tags on every frame so stragglers from an aborted
-//     attempt cannot corrupt the retry,
-//   * per-round heartbeats carrying the epoch position (pacer liveness), and
+//     attempt cannot corrupt the retry, and
 //   * an optional DHT smoke phase after the last epoch: every node routes a
 //     greedy bit-fixing lookup (apps/dht key hashing) over the final tables.
 //
 // Epoch round layout, with P = 2 * schedule.iterations + 1 primitive rounds:
-//   [0, 2P)               sampler simulation/synchronization (node_sim)
-//   2P .. 2P+3            reorganization rounds A-D (node_sim)
+//   [0, 2P)               sampler simulation/synchronization
+//   2P .. 2P+3            reorganization rounds A-D
 //   [2P+4, 2P+4+d)        table all-gather along hypercube dimensions
 //   2P+4+d                merge + completeness vote to the old group
 //   2P+5+d                commit or fallback; next epoch starts next round
@@ -36,6 +40,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -52,6 +57,12 @@
 
 namespace reconfnet::transport {
 
+// Every in-process delivery is one envelope, and the busiest node-level round
+// delivers about a million of them: a frame must stay no larger than the
+// standalone node-level simulation's was (152 B on x86-64).
+static_assert(sizeof(sim::Envelope<Message>) <= 152,
+              "in-process frames must stay lean");
+
 class NodeProtocol {
  public:
   struct Config {
@@ -59,8 +70,10 @@ class NodeProtocol {
     int epochs = 1;
     int max_attempts = 3;  ///< epoch retries before giving up on it
     sampling::SamplingConfig sampling{};
-    int size_estimate_slack = 0;
     bool dht_smoke = false;  ///< run the lookup phase after the last epoch
+    /// Master stream of epoch 0, attempt 0; unset means Rng(seed). Retries
+    /// and later epochs always remix from `seed`.
+    std::optional<support::Rng> first_master;
   };
 
   struct Metrics {
@@ -82,26 +95,46 @@ class NodeProtocol {
     bool finished = false;
   };
 
+  /// What the node learned in reorganization rounds C and D of the current
+  /// attempt (the Lemma 15 view): its new group R'(own_supernode) and, by
+  /// supernode, the new groups forwarded to it. Bodies list members in
+  /// `group`; `own` stays null until learned.
+  struct GroupView {
+    BodyPtr own;
+    std::uint64_t own_supernode = 0;
+    std::map<std::uint64_t, BodyPtr> neighbors;
+  };
+
   using Outbox = std::vector<std::pair<sim::NodeId, Message>>;
 
-  NodeProtocol(sim::NodeId self, dos::GroupTable initial, Config config);
+  /// `initial` is shared, read-only, by every node of a driver.
+  NodeProtocol(sim::NodeId self,
+               std::shared_ptr<const dos::GroupTable> initial, Config config);
 
   /// Runs one protocol round: consumes the frames delivered for `round`
-  /// (sent in round - 1), appends outgoing (destination, frame) pairs —
-  /// heartbeats included — and advances the internal phase machine. `dead`
-  /// lists peers known dead (sorted; from the pacer's evictions or the
-  /// fault plan), feeding the group-silence abort. Returns false once all
-  /// epochs and the smoke phase are done (the caller may keep pacing/linger).
+  /// (sent in round - 1), appends outgoing (destination, frame) pairs and
+  /// advances the internal phase machine. `dead` lists peers known dead
+  /// (sorted; from the pacer's evictions or the fault plan), feeding the
+  /// group-silence abort. Returns false once all epochs and the smoke phase
+  /// are done (the caller may keep pacing/linger).
   bool on_round(sim::Round round,
                 std::span<const sim::Envelope<Message>> inbox, Outbox& out,
                 std::span<const sim::NodeId> dead);
 
   [[nodiscard]] bool finished() const { return metrics_.finished; }
-  [[nodiscard]] const dos::GroupTable& table() const { return table_; }
+  [[nodiscard]] const dos::GroupTable& table() const { return *table_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] sim::NodeId self() const { return self_; }
   /// Rounds one attempt of the current epoch occupies.
   [[nodiscard]] int epoch_rounds() const { return epoch_rounds_; }
+  /// Primitive sampler rounds P of the current attempt; reorganization
+  /// round D is round 2P + 3 of the attempt.
+  [[nodiscard]] int primitive_rounds() const { return primitive_rounds_; }
+  /// The supernode state this node currently holds.
+  [[nodiscard]] const SamplerState& replica() const {
+    return replica_->state;
+  }
+  [[nodiscard]] const GroupView& group_view() const { return view_; }
 
   /// Heartbeat/liveness peer set under the current table: every node, self
   /// excluded, ascending — the bus is globally synchronous, so live pacing
@@ -111,15 +144,8 @@ class NodeProtocol {
  private:
   enum class Mode { kEpochs, kSmoke, kDone };
 
-  /// A supernode state replica: the sampler core after `seq` primitive
-  /// rounds (node_sim's Snapshot, by value).
-  struct Snap {
-    sampling::HypercubeSamplerCore core;
-    int seq = 0;
-  };
-
   // --- phase handlers (r = round - epoch_start_) ----------------------------
-  // All of them read the round's tag-checked frames from accepted_.
+  // All of them read the round's frames through accepted().
   void sampler_sim_round(int seq, Outbox& out);
   void sampler_sync_round(Outbox& out);
   void reorg_round_a(Outbox& out);
@@ -132,7 +158,7 @@ class NodeProtocol {
   void smoke_round(sim::Round round, Outbox& out);
 
   /// Starts (or retries) the current epoch at `start_round`: re-derives the
-  /// schedule and the node_sim-parity rng streams from the current table.
+  /// schedule and the per-node rng streams from the current table.
   void begin_attempt(sim::Round start_round);
   /// Epoch boundary bookkeeping: commit or fallback, retry budget, and the
   /// transition into the smoke/done modes. `next_start` is the first round
@@ -141,26 +167,32 @@ class NodeProtocol {
   /// Sets doomed_ when some current group has every member in `dead`.
   void check_doomed(std::span<const sim::NodeId> dead);
   /// Merges one incoming table fragment, tracking conflicts.
-  void merge_table(const std::vector<TableEntry>& fragment);
+  void merge_table(std::span<const TableEntry> fragment);
   /// True iff the gathered table is a complete, conflict-free partition of
   /// the current node set into 2^d non-empty groups.
   [[nodiscard]] bool table_complete() const;
 
-  [[nodiscard]] Snap rebuild(const SamplerState& state,
-                             std::uint64_t supernode) const;
-  [[nodiscard]] SamplerState freeze(const Snap& snap) const;
-  /// node_sim's advance(): one primitive round on a copy of `prev`.
-  [[nodiscard]] std::pair<Snap, std::vector<SuperMsg>> advance(
-      const Snap& prev, const std::vector<SuperMsg>& incoming);
+  /// One primitive round on the replica `prev`: the candidate body, holding
+  /// the advanced state and the supernode's outgoing messages.
+  [[nodiscard]] BodyPtr advance(const SamplerState& prev,
+                                std::span<const SuperMsg> incoming);
 
-  /// Tags, meters and queues one protocol frame.
-  void emit(Outbox& out, sim::NodeId to, Message msg);
+  /// Calls `handle(envelope)` for each frame of the round whose tag matches
+  /// the current (epoch, attempt).
+  template <typename Handle>
+  void accepted(Handle&& handle) const {
+    for (const auto& envelope : inbox_) {
+      if (current_tag(envelope.payload)) handle(envelope);
+    }
+  }
+  /// Tags and meters `msg` once, then queues a copy for each of `to`.
+  void emit(Outbox& out, std::span<const sim::NodeId> to, Message msg);
   /// True iff the frame belongs to the current (epoch, attempt).
   [[nodiscard]] bool current_tag(const Message& msg) const;
 
   sim::NodeId self_;
   Config config_;
-  dos::GroupTable table_;
+  std::shared_ptr<const dos::GroupTable> table_;
   Mode mode_ = Mode::kEpochs;
   Metrics metrics_;
 
@@ -169,6 +201,7 @@ class NodeProtocol {
   std::int32_t attempt_ = 0;
   sim::Round epoch_start_ = 0;
   sim::Round current_round_ = 0;
+  std::span<const sim::Envelope<Message>> inbox_;  ///< this round's frames
 
   // Per-attempt derived state.
   std::uint64_t supernode_ = 0;
@@ -176,16 +209,12 @@ class NodeProtocol {
   int primitive_rounds_ = 0;
   int epoch_rounds_ = 0;
   support::Rng rng_{0};
-  std::optional<Snap> state_;
+  BodyPtr replica_;  ///< replica_->state is the supernode state
   bool doomed_ = false;
 
   // Reorganization state.
-  std::vector<sim::NodeId> fresh_group_;  ///< R'(supernode_) from round B
-  bool have_fresh_ = false;
-  std::vector<sim::NodeId> own_new_group_;  ///< learned in round C
-  std::uint64_t own_new_supernode_ = 0;
-  bool own_new_group_known_ = false;
-  std::set<std::uint64_t> neighbor_groups_seen_;  ///< learned in round D
+  BodyPtr fresh_group_;  ///< R'(supernode_) collected in round B
+  GroupView view_;
   std::map<std::uint64_t, std::vector<sim::NodeId>> gathered_;
   bool gather_conflict_ = false;
   bool vote_complete_ = false;
@@ -196,7 +225,6 @@ class NodeProtocol {
   std::set<sim::NodeId> lookups_seen_;
 
   // Scratch buffers (recycled across rounds).
-  std::vector<const sim::Envelope<Message>*> accepted_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, SuperMsg> super_dedup_;
   std::vector<SuperMsg> super_scratch_;
 };

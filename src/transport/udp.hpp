@@ -12,6 +12,11 @@
 // only once every reliable frame of its current round is acked, so the
 // pacer quorum doubles as a delivery barrier.
 //
+// Round contract, the live mirror of one sim::Bus round: the owner calls
+// send() during its round r (the protocol tags frames with r),
+// advance_round(r + 1) at the boundary, and poll() to collect everything
+// sent to it in round r.
+//
 // The PacketMangler interposes at this seam, on every transmission attempt —
 // the sender-side fault injection the deployment scripts drive. The datagram
 // handler (on_datagram) is socket-free so tests can feed it raw bytes; the
@@ -25,10 +30,10 @@
 #include <span>
 #include <vector>
 
+#include "sim/bus.hpp"
 #include "sim/types.hpp"
 #include "transport/mangler.hpp"
 #include "transport/reliable_link.hpp"
-#include "transport/transport.hpp"
 #include "transport/wire.hpp"
 
 namespace reconfnet::transport {
@@ -44,7 +49,7 @@ struct UdpConfig {
   PacketMangler* mangler = nullptr;
 };
 
-class UdpTransport final : public Transport {
+class UdpTransport {
  public:
   struct Counters {
     std::uint64_t datagrams_sent = 0;
@@ -58,16 +63,22 @@ class UdpTransport final : public Transport {
   };
 
   explicit UdpTransport(UdpConfig config);
-  ~UdpTransport() override;
+  UdpTransport(const UdpTransport&) = delete;
+  UdpTransport& operator=(const UdpTransport&) = delete;
+  ~UdpTransport();
 
   /// Binds the socket (non-blocking). False on failure (port in use, ...).
   [[nodiscard]] bool open();
   void close();
 
-  // Transport contract.
-  void send(sim::NodeId to, const Message& msg) override;
-  void poll(std::vector<sim::Envelope<Message>>& out) override;
-  void advance_round(sim::Round round) override;
+  /// Queues one protocol frame to `to`; its round/epoch/attempt tags must
+  /// already be set (NodeProtocol::emit does).
+  void send(sim::NodeId to, const Message& msg);
+  /// Appends every frame deliverable at the current round (sent in the
+  /// previous one) to `out`.
+  void poll(std::vector<sim::Envelope<Message>>& out);
+  /// Moves the delivery cursor to `round`.
+  void advance_round(sim::Round round);
 
   /// Drains the socket, feeding every datagram through on_datagram().
   void pump(std::int64_t now_us);

@@ -80,32 +80,30 @@ void write_state(Writer& w, const SamplerState& state) {
 
 bool read_state(Reader& r, SamplerState& state) {
   state.seq = r.i32();
-  const std::size_t blocks = r.u8();
-  // Recycle outer and inner capacity: shrink without deallocating, grow on
-  // demand.
-  if (state.blocks.size() > blocks) state.blocks.resize(blocks);
-  while (state.blocks.size() < blocks) state.blocks.emplace_back();
+  state.blocks.resize(r.u8());
   for (auto& block : state.blocks) {
     const std::size_t count = r.u32();
     if (!r.ok() || count > r.remaining() / 8) return false;
-    block.clear();
     block.reserve(count);
     for (std::size_t i = 0; i < count; ++i) block.push_back(r.u64());
   }
   return r.ok();
 }
 
+// The wire keeps the request fields (requester, j) and the response fields
+// (vertex, j, ok) apart; the unused half of a frame is zero.
 void write_super(Writer& w, const SuperMsg& super) {
+  const bool request = super.is_request;
   w.u64(super.src);
   w.u64(super.dest);
   w.i32(super.seq);
   w.u32(super.index);
-  w.u8(super.is_request ? 1 : 0);
-  w.u64(super.req_requester);
-  w.i32(super.req_j);
-  w.u64(super.resp_vertex);
-  w.i32(super.resp_j);
-  w.u8(super.resp_ok ? 1 : 0);
+  w.u8(request ? 1 : 0);
+  w.u64(request ? super.vertex : 0);
+  w.i32(request ? super.j : 0);
+  w.u64(request ? 0 : super.vertex);
+  w.i32(request ? 0 : super.j);
+  w.u8(super.ok ? 1 : 0);
 }
 
 bool read_super(Reader& r, SuperMsg& super) {
@@ -114,11 +112,13 @@ bool read_super(Reader& r, SuperMsg& super) {
   super.seq = r.i32();
   super.index = r.u32();
   super.is_request = r.u8() != 0;
-  super.req_requester = r.u64();
-  super.req_j = r.i32();
-  super.resp_vertex = r.u64();
-  super.resp_j = r.i32();
-  super.resp_ok = r.u8() != 0;
+  const std::uint64_t requester = r.u64();
+  const std::int32_t request_j = r.i32();
+  const std::uint64_t vertex = r.u64();
+  const std::int32_t response_j = r.i32();
+  super.vertex = super.is_request ? requester : vertex;
+  super.j = super.is_request ? request_j : response_j;
+  super.ok = r.u8() != 0;
   return r.ok();
 }
 
@@ -130,33 +130,33 @@ void write_ids(Writer& w, const std::vector<sim::NodeId>& ids) {
 bool read_ids(Reader& r, std::vector<sim::NodeId>& ids) {
   const std::size_t count = r.u32();
   if (!r.ok() || count > r.remaining() / 8) return false;
-  ids.clear();
   ids.reserve(count);
   for (std::size_t i = 0; i < count; ++i) ids.push_back(r.u64());
   return r.ok();
 }
 
 std::size_t body_bytes(const Message& msg) {
+  const Body& body = msg.contents();
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
       return 8;  // epoch_start
-    case MsgKind::kCandidate: {
-      std::size_t total = 8 + state_bytes(msg.state) + 4;
-      total += msg.outbox.size() * kSuperMsgBytes;
-      return total;
-    }
+    case MsgKind::kCandidate:
+      return 8 + state_bytes(body.state) + 4 +
+             body.outbox.size() * kSuperMsgBytes;
     case MsgKind::kStateBroadcast:
-      return 8 + state_bytes(msg.state);
+      return 8 + state_bytes(body.state);
     case MsgKind::kSuper:
       return kSuperMsgBytes;
     case MsgKind::kAssign:
       return 8 + 8;  // supernode + assigned
     case MsgKind::kNewGroup:
     case MsgKind::kNeighborGroup:
-      return 8 + 4 + msg.group.size() * 8;
+      return 8 + 4 + body.group.size() * 8;
     case MsgKind::kTableFrag: {
       std::size_t total = 4;
-      for (const auto& entry : msg.table) total += 8 + 4 + entry.members.size() * 8;
+      for (const auto& entry : body.table) {
+        total += 8 + 4 + entry.members.size() * 8;
+      }
       return total;
     }
     case MsgKind::kCommitVote:
@@ -171,31 +171,19 @@ std::size_t body_bytes(const Message& msg) {
 
 }  // namespace
 
-void Message::clear() {
-  kind = MsgKind::kHeartbeat;
-  round = 0;
-  epoch = 0;
-  attempt = 0;
-  epoch_start = 0;
-  supernode = 0;
-  state.seq = 0;
-  for (auto& block : state.blocks) block.clear();
-  state.blocks.clear();
-  outbox.clear();
-  super = SuperMsg{};
-  assigned = sim::kNoNode;
-  group.clear();
-  table.clear();
-  complete = false;
-  key = 0;
-  origin = sim::kNoNode;
+const Body& Message::contents() const {
+  static const Body kEmpty;
+  return body != nullptr ? *body : kEmpty;
 }
+
+void Message::clear() { *this = Message{}; }
 
 std::size_t encoded_bytes(const Message& msg) {
   return kFrameHeaderBytes + body_bytes(msg);
 }
 
 void encode(const Message& msg, std::vector<std::uint8_t>& out) {
+  const Body& body = msg.contents();
   out.clear();
   out.reserve(encoded_bytes(msg));
   Writer w(out);
@@ -212,13 +200,13 @@ void encode(const Message& msg, std::vector<std::uint8_t>& out) {
       break;
     case MsgKind::kCandidate:
       w.u64(msg.supernode);
-      write_state(w, msg.state);
-      w.u32(static_cast<std::uint32_t>(msg.outbox.size()));
-      for (const auto& super : msg.outbox) write_super(w, super);
+      write_state(w, body.state);
+      w.u32(static_cast<std::uint32_t>(body.outbox.size()));
+      for (const auto& super : body.outbox) write_super(w, super);
       break;
     case MsgKind::kStateBroadcast:
       w.u64(msg.supernode);
-      write_state(w, msg.state);
+      write_state(w, body.state);
       break;
     case MsgKind::kSuper:
       write_super(w, msg.super);
@@ -230,11 +218,11 @@ void encode(const Message& msg, std::vector<std::uint8_t>& out) {
     case MsgKind::kNewGroup:
     case MsgKind::kNeighborGroup:
       w.u64(msg.supernode);
-      write_ids(w, msg.group);
+      write_ids(w, body.group);
       break;
     case MsgKind::kTableFrag:
-      w.u32(static_cast<std::uint32_t>(msg.table.size()));
-      for (const auto& entry : msg.table) {
+      w.u32(static_cast<std::uint32_t>(body.table.size()));
+      for (const auto& entry : body.table) {
         w.u64(entry.supernode);
         write_ids(w, entry.members);
       }
@@ -266,26 +254,34 @@ bool decode(std::span<const std::uint8_t> bytes, Message& msg) {
   msg.round = r.i64();
   msg.epoch = r.i64();
   msg.attempt = r.i32();
-  const std::size_t body = r.u32();
-  if (!r.ok() || body != r.remaining()) return false;
+  const std::size_t body_size = r.u32();
+  if (!r.ok() || body_size != r.remaining()) return false;
+  // A frame with a body gets a fresh one: bodies are immutable once built.
+  const auto fresh_body = [&msg]() -> Body& {
+    auto body = std::make_shared<Body>();
+    Body& contents = *body;
+    msg.body = std::move(body);
+    return contents;
+  };
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
       msg.epoch_start = r.i64();
       break;
     case MsgKind::kCandidate: {
       msg.supernode = r.u64();
-      if (!read_state(r, msg.state)) return false;
+      Body& body = fresh_body();
+      if (!read_state(r, body.state)) return false;
       const std::size_t count = r.u32();
       if (!r.ok() || count > r.remaining() / kSuperMsgBytes) return false;
-      msg.outbox.resize(count);
-      for (auto& super : msg.outbox) {
+      body.outbox.resize(count);
+      for (auto& super : body.outbox) {
         if (!read_super(r, super)) return false;
       }
       break;
     }
     case MsgKind::kStateBroadcast:
       msg.supernode = r.u64();
-      if (!read_state(r, msg.state)) return false;
+      if (!read_state(r, fresh_body().state)) return false;
       break;
     case MsgKind::kSuper:
       if (!read_super(r, msg.super)) return false;
@@ -297,13 +293,14 @@ bool decode(std::span<const std::uint8_t> bytes, Message& msg) {
     case MsgKind::kNewGroup:
     case MsgKind::kNeighborGroup:
       msg.supernode = r.u64();
-      if (!read_ids(r, msg.group)) return false;
+      if (!read_ids(r, fresh_body().group)) return false;
       break;
     case MsgKind::kTableFrag: {
       const std::size_t count = r.u32();
       if (!r.ok() || count > r.remaining() / 12) return false;
-      msg.table.resize(count);
-      for (auto& entry : msg.table) {
+      Body& body = fresh_body();
+      body.table.resize(count);
+      for (auto& entry : body.table) {
         entry.supernode = r.u64();
         if (!read_ids(r, entry.members)) return false;
       }

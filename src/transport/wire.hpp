@@ -5,9 +5,10 @@
 // codec writes a fixed header (magic, version, kind, sender round, epoch,
 // attempt) followed by a kind-specific body. Encoding is a pure function of
 // the Message — no padding, no host-order leaks — so the same Message
-// serializes to the same bytes in every process, and the frame bits charged
-// to the communication-work accounting (8 * encoded_bytes) agree between the
-// in-process and the UDP transport by construction.
+// serializes to the same bytes in every process. In process the typed
+// Message travels as is, its bulky Body shared by handle; only the UDP edge
+// encodes. NodeProtocol meters 8 * encoded_bytes per frame on both paths,
+// so the wire bits agree between them by construction.
 //
 // The frame layout is pinned in tools/protocheck/protocol.toml (transport.*
 // constants); changing a field width here without updating the spec fails
@@ -15,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -64,70 +66,91 @@ enum class MsgKind : std::uint8_t {
   kLookupReply = 10,    ///< DHT smoke: home-group answer to the origin
 };
 
-/// A replicated sampler snapshot on the wire: the primitive-round counter
-/// plus the raw multiset blocks. The receiver reconstructs the
+/// A replicated sampler snapshot: the primitive-round counter plus the raw
+/// multiset blocks (blocks[j-1] = M_j). A replica rebuilds its
 /// HypercubeSamplerCore from (dimension, supernode, schedule) — all derivable
 /// from the shared group table — via restore_blocks().
 struct SamplerState {
   std::int32_t seq = 0;
   std::vector<std::vector<std::uint64_t>> blocks;
+
+  friend bool operator==(const SamplerState&, const SamplerState&) = default;
 };
 
-/// Mirror of dos/node_sim.cpp's supernode-level sampler message.
+/// One supernode-level sampler message: a request for block j (vertex = the
+/// requesting supernode) or its response (vertex = the spliced walk
+/// endpoint, ok = the partner block had an entry). The wire keeps separate
+/// request and response fields (kSuperMsgBytes); in memory they share one
+/// slot, since a frame is one or the other.
 struct SuperMsg {
   std::uint64_t src = 0;
   std::uint64_t dest = 0;
+  std::uint64_t vertex = 0;
   std::int32_t seq = 0;
   std::uint32_t index = 0;
+  std::int32_t j = 0;
   bool is_request = false;
-  std::uint64_t req_requester = 0;
-  std::int32_t req_j = 0;
-  std::uint64_t resp_vertex = 0;
-  std::int32_t resp_j = 0;
-  bool resp_ok = false;
+  bool ok = false;
+
+  friend bool operator==(const SuperMsg&, const SuperMsg&) = default;
 };
 
 /// One (supernode, members) entry of the all-gathered new group table.
 struct TableEntry {
   std::uint64_t supernode = 0;
   std::vector<sim::NodeId> members;
+
+  friend bool operator==(const TableEntry&, const TableEntry&) = default;
 };
+
+/// The bulky part of a frame, immutable once sent. A sender builds it once
+/// per round and every recipient shares it, so in process a frame fans out
+/// by copying a handle, never the contents; only the UDP edge serializes it.
+/// `Message::kind` selects the meaningful members.
+struct Body {
+  SamplerState state;              ///< candidate / broadcast
+  std::vector<SuperMsg> outbox;    ///< candidate
+  std::vector<sim::NodeId> group;  ///< new-group / neighbor-group
+  std::vector<TableEntry> table;   ///< table fragment
+};
+using BodyPtr = std::shared_ptr<const Body>;
 
 /// Every protocol frame. `kind` selects which fields are meaningful (and
 /// which the codec serializes); the rest stay default-initialized.
 struct Message {
   MsgKind kind = MsgKind::kHeartbeat;
+  bool complete = false;      ///< commit vote
+  std::int32_t attempt = 0;   ///< retry attempt within the epoch
   sim::Round round = 0;       ///< sender's round when the frame was sent
   std::int64_t epoch = 0;     ///< reconfiguration epoch the frame belongs to
-  std::int32_t attempt = 0;   ///< retry attempt within the epoch
 
   std::int64_t epoch_start = 0;           ///< heartbeat: epoch's first round
   std::uint64_t supernode = 0;            ///< state/assign/group/vote frames
-  SamplerState state;                     ///< candidate / broadcast
-  std::vector<SuperMsg> outbox;           ///< candidate
-  SuperMsg super{};                       ///< super
   sim::NodeId assigned = sim::kNoNode;    ///< assign
-  std::vector<sim::NodeId> group;         ///< new-group / neighbor-group
-  std::vector<TableEntry> table;          ///< table fragment
-  bool complete = false;                  ///< commit vote
   std::uint64_t key = 0;                  ///< lookup / reply
   sim::NodeId origin = sim::kNoNode;      ///< lookup / reply
+  SuperMsg super{};                       ///< super
+  // reconfnet-protocheck: allow(RNP307) shared immutable body: the codec
+  // serializes its contents (write_state/write_ids), never the handle
+  BodyPtr body;  ///< candidate / broadcast / group / table frames
 
+  /// The frame's body, or an empty one when it carries none.
+  [[nodiscard]] const Body& contents() const;
   void clear();
 };
 
 /// Exact serialized size of `msg` in bytes (header included) without
-/// encoding. Used for communication-work accounting on both transports.
+/// encoding: NodeProtocol's wire-bit accounting, in process and over UDP.
 [[nodiscard]] std::size_t encoded_bytes(const Message& msg);
 
 /// Serializes `msg` into `out` (cleared first; capacity is recycled, so the
 /// steady-state path allocates nothing once warm).
 void encode(const Message& msg, std::vector<std::uint8_t>& out);
 
-/// Parses one frame into `msg` (cleared first; nested vectors recycle their
-/// capacity). Returns false on any malformed input — short buffer, bad
-/// magic/version, truncated body, trailing bytes — leaving `msg`
-/// unspecified but valid.
+/// Parses one frame into `msg` (cleared first). A frame with a body gets a
+/// freshly allocated one; the others allocate nothing. Returns false on any
+/// malformed input — short buffer, bad magic/version, truncated body,
+/// trailing bytes — leaving `msg` unspecified but valid.
 [[nodiscard]] bool decode(std::span<const std::uint8_t> bytes, Message& msg);
 
 }  // namespace reconfnet::transport

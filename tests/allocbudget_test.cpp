@@ -21,6 +21,8 @@
 
 #include "adversary/churn.hpp"
 #include "churn/overlay.hpp"
+#include "dos/group_table.hpp"
+#include "dos/node_sim.hpp"
 #include "graph/hgraph.hpp"
 #include "sampling/hgraph_sampler.hpp"
 #include "sampling/schedule.hpp"
@@ -203,6 +205,42 @@ TEST(AllocBudget, HGraphSamplingRunStaysUnderBudget) {
   const support::AllocTotals used = scope.delta();
   ASSERT_TRUE(result.success);
   std::cout << "[ measured ] sampling.hgraph_run: " << used.allocations
+            << " allocations, " << used.bytes << " bytes (budget " << budget
+            << " allocations, " << byte_budget << " bytes)\n";
+  EXPECT_LE(used.allocations, budget);
+  EXPECT_LE(used.bytes, byte_budget);
+}
+
+// --- node-level Section 5 epoch --------------------------------------------
+
+/// One warm node-level epoch without blocking. Every frame body (sampler
+/// state, candidate outbox, group lists) is built once per sender per round
+/// and shared by handle, so a per-recipient copy — thousands of extra
+/// allocations per round — breaks the budget.
+TEST(AllocBudget, NodeLevelEpochStaysUnderBudget) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  const std::uint64_t n = budget_value("dos.node_level_epoch", "n");
+  const auto dimension =
+      static_cast<int>(budget_value("dos.node_level_epoch", "dimension"));
+  const std::uint64_t budget =
+      budget_value("dos.node_level_epoch", "allocs_per_epoch");
+  const std::uint64_t byte_budget =
+      budget_value("dos.node_level_epoch", "alloc_bytes_per_epoch");
+
+  support::Rng rng(0xA110C);
+  std::vector<sim::NodeId> ids(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  auto table_rng = rng.split(0);
+  const auto groups = dos::GroupTable::random(dimension, ids, table_rng);
+  auto warm_rng = rng.split(1);
+  ASSERT_TRUE(dos::run_node_level_epoch(groups, {}, {}, warm_rng).success);
+
+  auto run_rng = rng.split(2);
+  support::AllocCounter scope;
+  const auto report = dos::run_node_level_epoch(groups, {}, {}, run_rng);
+  const support::AllocTotals used = scope.delta();
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  std::cout << "[ measured ] dos.node_level_epoch: " << used.allocations
             << " allocations, " << used.bytes << " bytes (budget " << budget
             << " allocations, " << byte_budget << " bytes)\n";
   EXPECT_LE(used.allocations, budget);

@@ -1,6 +1,7 @@
-// Transport backend coverage (DESIGN.md §15): wire codec round-trips, the
-// reliable link's delivery/dedup/abandon machinery, fault-plan mangler
-// determinism, scenario parsing, and — the heart of the tentpole — the
+// Transport backend coverage (DESIGN.md §15): wire codec round-trips —
+// including every frame of a faulted in-process run, since in-process frames
+// never pass the codec — the reliable link's delivery/dedup/abandon
+// machinery, fault-plan mangler determinism, scenario parsing, and the
 // in-process deployment of the per-node protocol: bit-exact parity with
 // dos::run_node_level_epoch when fault-free, and graceful convergence (or
 // bounded degradation, never a wedge) under scripted kills, partitions and
@@ -35,17 +36,19 @@ Message sample_candidate() {
   msg.epoch = 2;
   msg.attempt = 1;
   msg.supernode = 5;
-  msg.state.seq = 9;
-  msg.state.blocks = {{1, 2, 3}, {}, {42}};
+  auto body = std::make_shared<Body>();
+  body->state.seq = 9;
+  body->state.blocks = {{1, 2, 3}, {}, {42}};
   SuperMsg super;
   super.src = 5;
   super.dest = 4;
   super.seq = 9;
   super.index = 7;
   super.is_request = true;
-  super.req_requester = 11;
-  super.req_j = 2;
-  msg.outbox.push_back(super);
+  super.vertex = 11;
+  super.j = 2;
+  body->outbox.push_back(super);
+  msg.body = std::move(body);
   return msg;
 }
 
@@ -62,26 +65,27 @@ TEST(Wire, RoundTripsEveryField) {
   EXPECT_EQ(back.epoch, msg.epoch);
   EXPECT_EQ(back.attempt, msg.attempt);
   EXPECT_EQ(back.supernode, msg.supernode);
-  EXPECT_EQ(back.state.seq, msg.state.seq);
-  EXPECT_EQ(back.state.blocks, msg.state.blocks);
-  ASSERT_EQ(back.outbox.size(), 1u);
-  EXPECT_EQ(back.outbox[0].dest, 4u);
-  EXPECT_TRUE(back.outbox[0].is_request);
+  EXPECT_EQ(back.contents().state, msg.contents().state);
+  ASSERT_EQ(back.contents().outbox.size(), 1u);
+  EXPECT_EQ(back.contents().outbox[0], msg.contents().outbox[0]);
 }
 
 TEST(Wire, RoundTripsTableAndLookupFrames) {
   Message msg;
   msg.kind = MsgKind::kTableFrag;
   msg.round = 3;
-  msg.table.push_back(TableEntry{1, {4, 5, 6}});
-  msg.table.push_back(TableEntry{2, {7}});
+  auto body = std::make_shared<Body>();
+  body->table.push_back(TableEntry{1, {4, 5, 6}});
+  body->table.push_back(TableEntry{2, {7}});
+  msg.body = std::move(body);
   std::vector<std::uint8_t> bytes;
   encode(msg, bytes);
   Message back;
   ASSERT_TRUE(decode(bytes, back));
-  ASSERT_EQ(back.table.size(), 2u);
-  EXPECT_EQ(back.table[0].members, (std::vector<sim::NodeId>{4, 5, 6}));
-  EXPECT_EQ(back.table[1].supernode, 2u);
+  const auto& table = back.contents().table;
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table[0].members, (std::vector<sim::NodeId>{4, 5, 6}));
+  EXPECT_EQ(table[1].supernode, 2u);
 
   Message lookup;
   lookup.kind = MsgKind::kLookup;
@@ -109,9 +113,8 @@ TEST(Wire, RejectsCorruptedFrames) {
   corrupt[2] = kWireVersion + 1;
   EXPECT_FALSE(decode(corrupt, back));
 
-  corrupt = bytes;
-  corrupt.resize(corrupt.size() - 1);  // truncated body
-  EXPECT_FALSE(decode(corrupt, back));
+  const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+  EXPECT_FALSE(decode(truncated, back));
 
   corrupt = bytes;
   corrupt.push_back(0);  // trailing garbage
@@ -383,6 +386,103 @@ TEST(InprocDeployment, SurvivesKillsAndPartition) {
   }
 }
 
+/// Field equality of a decoded frame with the frame that was encoded: the
+/// header, plus whatever the frame's kind carries.
+void expect_same_frame(const Message& sent, const Message& back) {
+  EXPECT_EQ(back.kind, sent.kind);
+  EXPECT_EQ(back.round, sent.round);
+  EXPECT_EQ(back.epoch, sent.epoch);
+  EXPECT_EQ(back.attempt, sent.attempt);
+  const Body& a = sent.contents();
+  const Body& b = back.contents();
+  switch (sent.kind) {
+    case MsgKind::kHeartbeat:
+      EXPECT_EQ(back.epoch_start, sent.epoch_start);
+      break;
+    case MsgKind::kCandidate:
+      EXPECT_EQ(back.supernode, sent.supernode);
+      EXPECT_EQ(b.state, a.state);
+      EXPECT_EQ(b.outbox, a.outbox);
+      break;
+    case MsgKind::kStateBroadcast:
+      EXPECT_EQ(back.supernode, sent.supernode);
+      EXPECT_EQ(b.state, a.state);
+      break;
+    case MsgKind::kSuper:
+      EXPECT_EQ(back.super, sent.super);
+      break;
+    case MsgKind::kAssign:
+      EXPECT_EQ(back.supernode, sent.supernode);
+      EXPECT_EQ(back.assigned, sent.assigned);
+      break;
+    case MsgKind::kNewGroup:
+    case MsgKind::kNeighborGroup:
+      EXPECT_EQ(back.supernode, sent.supernode);
+      EXPECT_EQ(b.group, a.group);
+      break;
+    case MsgKind::kTableFrag:
+      EXPECT_EQ(b.table, a.table);
+      break;
+    case MsgKind::kCommitVote:
+      EXPECT_EQ(back.supernode, sent.supernode);
+      EXPECT_EQ(back.complete, sent.complete);
+      break;
+    case MsgKind::kLookup:
+      EXPECT_EQ(back.supernode, sent.supernode);
+      [[fallthrough]];
+    case MsgKind::kLookupReply:
+      EXPECT_EQ(back.key, sent.key);
+      EXPECT_EQ(back.origin, sent.origin);
+      break;
+  }
+}
+
+// The in-process path hands typed frames around and never runs the codec, so
+// this run gives the codec its coverage: every frame of a V2-shape
+// deployment (kills, a partition, the DHT smoke phase) is encoded, decoded
+// and compared, and the encoded sizes add up to the wire bits the protocols
+// charged.
+TEST(Wire, RoundTripsEveryFrameOfAFaultedDeployment) {
+  auto config = small_deployment(/*epochs=*/3, /*smoke=*/true);
+  {
+    InprocDeployment probe(config);
+    config.plan = parse_plan("kill2,partition1", config.nodes,
+                             probe.node(0).epoch_rounds());
+  }
+  std::uint64_t frames = 0;
+  std::uint64_t encoded_bits = 0;
+  std::vector<bool> kinds_seen(11, false);
+  std::vector<std::uint8_t> bytes;
+  Message back;
+  config.on_send = [&](sim::NodeId, sim::NodeId, const Message& msg) {
+    encode(msg, bytes);
+    ASSERT_EQ(bytes.size(), encoded_bytes(msg));
+    ASSERT_TRUE(decode(bytes, back));
+    expect_same_frame(msg, back);
+    ++frames;
+    encoded_bits += 8ull * bytes.size();
+    kinds_seen[static_cast<std::size_t>(msg.kind)] = true;
+  };
+  InprocDeployment deployment(config);
+  ASSERT_TRUE(deployment.run().all_live_finished);
+
+  std::uint64_t frames_sent = 0;
+  std::uint64_t bits_sent = 0;
+  for (int id = 0; id < config.nodes; ++id) {
+    const auto& metrics =
+        deployment.node(static_cast<sim::NodeId>(id)).metrics();
+    frames_sent += metrics.frames_sent;
+    bits_sent += metrics.bits_sent;
+  }
+  EXPECT_GT(frames, 0u);
+  EXPECT_EQ(frames, frames_sent);
+  EXPECT_EQ(encoded_bits, bits_sent);
+  // Every protocol frame kind occurs (heartbeats belong to the live runtime).
+  for (std::size_t kind = 1; kind < kinds_seen.size(); ++kind) {
+    EXPECT_TRUE(kinds_seen[kind]) << "frame kind " << kind << " never sent";
+  }
+}
+
 TEST(InprocDeployment, WholeGroupKillAbortsEpochAndFallsBack) {
   auto config = small_deployment(/*epochs=*/1, /*smoke=*/false);
   config.protocol.max_attempts = 2;
@@ -429,6 +529,41 @@ TEST(InprocDeployment, CrashWithRestartRejoinsWithinTheEpoch) {
   EXPECT_EQ(report.finished, config.nodes);
   EXPECT_EQ(deployment.node(7).metrics().epochs_completed, 1);
   EXPECT_GT(deployment.node(7).metrics().resyncs, 0);
+}
+
+// A node whose rounds jumped past the commit boundary (a live pacer
+// resyncing a laggard) falls back and restarts the epoch in that very round.
+// Frames of the aborted attempt delivered in that round are stale: the retry
+// must not adopt the old attempt's state.
+TEST(NodeProtocol, RetryAfterARoundJumpIgnoresTheAbortedAttempt) {
+  std::vector<sim::NodeId> ids(16);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  support::Rng table_rng(1);
+  const auto table = std::make_shared<const dos::GroupTable>(
+      dos::GroupTable::random(2, ids, table_rng));
+  NodeProtocol node(0, table, NodeProtocol::Config{});
+
+  Message stale;
+  stale.kind = MsgKind::kStateBroadcast;
+  stale.supernode = table->supernode_of(0);
+  auto body = std::make_shared<Body>();
+  body->state.seq = 5;
+  body->state.blocks.resize(2);
+  stale.body = std::move(body);  // tagged epoch 0, attempt 0
+  const std::vector<sim::Envelope<Message>> inbox{{1, 0, stale}};
+
+  NodeProtocol::Outbox out;
+  node.on_round(node.epoch_rounds() + 3, inbox, out, {});
+  EXPECT_EQ(node.metrics().fallbacks, 1);
+  EXPECT_EQ(node.metrics().stale_frames, 0u);  // current when it arrived
+  EXPECT_EQ(node.metrics().resyncs, 0);
+  EXPECT_EQ(node.replica().seq, 0);
+  // The retry's first simulation round: candidates for the whole group.
+  ASSERT_EQ(out.size(), table->group(stale.supernode).size());
+  for (const auto& [to, msg] : out) {
+    EXPECT_EQ(msg.kind, MsgKind::kCandidate);
+    EXPECT_EQ(msg.attempt, 1);
+  }
 }
 
 // --- live UDP smoke ---------------------------------------------------------
