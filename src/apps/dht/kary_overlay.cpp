@@ -4,10 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/connectivity.hpp"
-#include "graph/hypercube.hpp"
-#include "sampling/hypercube_sampler.hpp"
-#include "sim/stale_view.hpp"
 
 namespace reconfnet::apps {
 namespace {
@@ -20,6 +16,32 @@ int log2_exact(int value) {
   int bits = 0;
   while ((1 << bits) < value) ++bits;
   return bits;
+}
+
+/// The initial configuration: every server joins a uniformly random vertex;
+/// a rare empty group takes a node from the largest group.
+dos::GroupTable random_groups(const KaryGroupedOverlay::Config& config,
+                              const graph::KaryHypercube& cube,
+                              support::Rng& rng) {
+  if (!is_power_of_two(config.arity)) {
+    throw std::invalid_argument(
+        "KaryGroupedOverlay: arity must be a power of two");
+  }
+  std::vector<std::vector<sim::NodeId>> groups(cube.size());
+  for (std::size_t i = 0; i < config.size; ++i) {
+    groups[rng.below(cube.size())].push_back(static_cast<sim::NodeId>(i));
+  }
+  for (auto& members : groups) {
+    if (members.empty()) {
+      auto largest = std::max_element(
+          groups.begin(), groups.end(),
+          [](const auto& a, const auto& b) { return a.size() < b.size(); });
+      members.push_back(largest->back());
+      largest->pop_back();
+    }
+    std::sort(members.begin(), members.end());
+  }
+  return {cube.dimension() * log2_exact(config.arity), std::move(groups)};
 }
 
 }  // namespace
@@ -42,52 +64,15 @@ KaryGroupedOverlay::KaryGroupedOverlay(const Config& config)
       rng_(config.seed),
       cube_(config.arity,
             choose_dimension(config.size, config.arity, config.group_c)),
-      bits_per_digit_(0) {
-  if (!is_power_of_two(config.arity)) {
-    throw std::invalid_argument(
-        "KaryGroupedOverlay: arity must be a power of two");
-  }
-  bits_per_digit_ = log2_exact(config.arity);
-  groups_.resize(cube_.size());
-  for (std::size_t i = 0; i < config.size; ++i) {
-    groups_[rng_.below(cube_.size())].push_back(
-        static_cast<sim::NodeId>(i));
-  }
-  for (auto& members : groups_) {
-    if (members.empty()) {
-      auto largest = std::max_element(
-          groups_.begin(), groups_.end(),
-          [](const auto& a, const auto& b) { return a.size() < b.size(); });
-      members.push_back(largest->back());
-      largest->pop_back();
-    }
-    std::sort(members.begin(), members.end());
-  }
-  rebuild_index();
+      groups_(random_groups(config, cube_, rng_)) {
   push_snapshot();
-}
-
-void KaryGroupedOverlay::rebuild_index() {
-  node_to_supernode_.clear();
-  for (std::uint64_t x = 0; x < groups_.size(); ++x) {
-    for (sim::NodeId node : groups_[x]) node_to_supernode_[node] = x;
-  }
-}
-
-std::vector<sim::NodeId> KaryGroupedOverlay::all_nodes() const {
-  std::vector<sim::NodeId> nodes;
-  nodes.reserve(config_.size);
-  for (const auto& members : groups_) {
-    nodes.insert(nodes.end(), members.begin(), members.end());
-  }
-  return nodes;
 }
 
 std::vector<std::pair<sim::NodeId, sim::NodeId>>
 KaryGroupedOverlay::overlay_edges() const {
   std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
-  for (std::uint64_t x = 0; x < groups_.size(); ++x) {
-    const auto& members = groups_[x];
+  for (std::uint64_t x = 0; x < groups_.supernodes(); ++x) {
+    const auto& members = groups_.group(x);
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = i + 1; j < members.size(); ++j) {
         edges.emplace_back(members[i], members[j]);
@@ -96,23 +81,11 @@ KaryGroupedOverlay::overlay_edges() const {
     for (std::uint64_t y : cube_.neighbors(x)) {
       if (y < x) continue;
       for (sim::NodeId a : members) {
-        for (sim::NodeId b : groups_[y]) edges.emplace_back(a, b);
+        for (sim::NodeId b : groups_.group(y)) edges.emplace_back(a, b);
       }
     }
   }
   return edges;
-}
-
-std::size_t KaryGroupedOverlay::min_group_size() const {
-  std::size_t best = groups_.front().size();
-  for (const auto& members : groups_) best = std::min(best, members.size());
-  return best;
-}
-
-std::size_t KaryGroupedOverlay::max_group_size() const {
-  std::size_t best = 0;
-  for (const auto& members : groups_) best = std::max(best, members.size());
-  return best;
 }
 
 bool KaryGroupedOverlay::group_available(
@@ -124,24 +97,24 @@ bool KaryGroupedOverlay::group_available(
   const auto& before = (round > 0 && round - 1 < blocked_per_round.size())
                            ? blocked_per_round[round - 1]
                            : kNone;
-  return std::any_of(groups_[x].begin(), groups_[x].end(),
+  const auto& members = groups_.group(x);
+  return std::any_of(members.begin(), members.end(),
                      [&](sim::NodeId node) {
                        return !now.contains(node) && !before.contains(node);
                      });
 }
 
 void KaryGroupedOverlay::push_snapshot() {
-  sim::TopologySnapshot snap;
-  snap.round = round_;
-  snap.nodes = all_nodes();
-  if (config_.snapshot_edges) snap.edges = overlay_edges();
-  snapshots_.push(std::move(snap));
+  rounds_.push_snapshot(all_nodes(), config_.snapshot_edges
+                                         ? overlay_edges()
+                                         : std::vector<dos::Edge>{});
 }
 
 bool KaryGroupedOverlay::message_lost(std::uint64_t from, std::uint64_t to) {
   fate_.clear();
   fault_hook_->on_message(static_cast<sim::NodeId>(from),
-                          static_cast<sim::NodeId>(to), round_, fate_);
+                          static_cast<sim::NodeId>(to), rounds_.round(),
+                          fate_);
   if (fate_.empty()) return true;
   for (const sim::Round delay : fate_) {
     if (delay == 0) return false;
@@ -150,149 +123,56 @@ bool KaryGroupedOverlay::message_lost(std::uint64_t from, std::uint64_t to) {
   return true;
 }
 
-void KaryGroupedOverlay::advance_round(const Attack& attack,
-                                       EpochReport& report) {
-  sim::BlockedSet blocked;
-  if (attack.adversary != nullptr) {
-    const auto budget = static_cast<std::size_t>(
-        attack.blocked_fraction * static_cast<double>(config_.size));
-    snapshots_.ensure_lateness_horizon(attack.lateness);
-    const sim::StaleSnapshotView stale =
-        sim::serve_stale(snapshots_, round_, attack.lateness);
-    const auto universe = all_nodes();
-    blocked = attack.adversary->choose(stale, universe, budget, round_);
-  }
-  for (const auto& members : groups_) {
-    std::size_t available = 0;
-    for (sim::NodeId node : members) {
-      if (!blocked.contains(node) && !blocked_prev_.contains(node)) {
-        ++available;
-      }
-    }
-    if (available == 0) ++report.silenced_group_rounds;
-    report.min_available_fraction =
-        std::min(report.min_available_fraction,
-                 static_cast<double>(available) /
-                     static_cast<double>(members.size()));
-  }
-  // A fully unblocked overlay is trivially connected (every group is
-  // non-empty and the hypercube is connected), so skip materializing the
-  // quadratic edge list — the dominant cost at n = 10^5 — in quiet rounds.
-  if (!blocked.empty() &&
-      !graph::is_connected_excluding(all_nodes(), overlay_edges(), blocked)) {
-    ++report.disconnected_rounds;
-  }
-  blocked_prev_ = std::move(blocked);
-  if (fault_hook_ != nullptr) fault_hook_->on_step(round_);
-  ++round_;
-  ++report.rounds;
-}
-
 KaryGroupedOverlay::EpochReport KaryGroupedOverlay::run_epoch(
     const Attack& attack) {
   EpochReport report;
+  dos::RoundInput input = dos::group_round_input(groups_, attack);
+  // Built only in rounds that block someone: the quadratic edge list is the
+  // dominant cost at n = 10^5.
+  input.build_edges = [this] { return overlay_edges(); };
+  dos::SamplingSpec spec;
+  spec.n = config_.size;
+  spec.max_group = max_group_size();
   // k-ary vertices are sampled through the binary hypercube over
   // d * log2(k) coordinates (identity vertex encoding for k = 2^j).
-  const int binary_dims = cube_.dimension() * bits_per_digit_;
-
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      config_.size, config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c = static_cast<double>(max_group_size() + 1) /
-                          static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, binary_dims, sampling_config);
-
-  std::vector<sampling::HypercubeSamplerCore> cores;
-  std::vector<support::Rng> core_rngs;
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 11);
-  for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-    cores.emplace_back(binary_dims, x, schedule);
-    core_rngs.push_back(epoch_rng.split(x));
-    cores.back().init(core_rngs.back());
+  spec.dimension = groups_.dimension();
+  spec.sampling = config_.sampling;
+  if (fault_hook_ != nullptr) {
+    // The hook's clock ticks once per epoch round, and the request and
+    // response legs of the sampler exchange are ordinary wire traffic to the
+    // fault layer: a lost leg starves the requester (and may fail the epoch
+    // through the dry-sampler check).
+    input.on_round_end = [this](sim::Round round) {
+      fault_hook_->on_step(round);
+    };
+    spec.lost = [this, &report](std::uint64_t from, std::uint64_t to) {
+      if (!message_lost(from, to)) return false;
+      ++report.fault_dropped_messages;
+      return true;
+    };
   }
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(rounds_.round()) + 11);
+  const auto sampled =
+      dos::run_group_sampling(rounds_, input, spec, epoch_rng, report);
 
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    advance_round(attack, report);
-    advance_round(attack, report);
-    std::vector<std::vector<
-        std::pair<std::uint64_t, sampling::HypercubeSamplerCore::Request>>>
-        outgoing(cube_.size());
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      outgoing[x] = cores[x].make_requests(i, core_rngs[x]);
-    }
-    advance_round(attack, report);
-    advance_round(attack, report);
-    std::vector<std::vector<sampling::HypercubeSamplerCore::Response>>
-        responses(cube_.size());
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      for (const auto& [dest, request] : outgoing[x]) {
-        // Request and response legs of the sampler exchange are ordinary
-        // wire traffic to the fault layer; a lost leg starves the requester
-        // (and may fail the epoch through the dry-sampler check below).
-        if (fault_hook_ != nullptr && message_lost(x, dest)) {
-          ++report.fault_dropped_messages;
-          continue;
-        }
-        auto response = cores[dest].serve(request, i, core_rngs[dest]);
-        if (fault_hook_ != nullptr &&
-            message_lost(dest, request.requester)) {
-          ++report.fault_dropped_messages;
-          continue;
-        }
-        responses[request.requester].push_back(std::move(response));
-      }
-    }
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      cores[x].discard_consumed(i);
-    }
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      for (const auto& response : responses[x]) {
-        cores[x].accept(response, core_rngs[x]);
-      }
-    }
-  }
-  for (int r = 0; r < 4; ++r) advance_round(attack, report);
-
-  auto finish = [&](bool success, std::string reason) {
-    report.success = success;
+  auto finish = [&](std::string reason) {
+    report.success = reason.empty();
     report.failure_reason = std::move(reason);
     report.min_group_size = min_group_size();
     report.max_group_size = max_group_size();
     return report;
   };
-
-  if (report.silenced_group_rounds > 0) {
-    return finish(false, "a group was silenced");
-  }
-  std::size_t dry = 0;
-  for (const auto& core : cores) dry += core.dry_events();
-  if (dry > 0) return finish(false, "supernode sampling ran dry");
-
-  std::vector<std::vector<sim::NodeId>> fresh(cube_.size());
-  for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-    const auto& members = groups_[x];
-    const auto& samples = cores[x].samples();
-    if (samples.size() < members.size()) {
-      return finish(false, "too few samples for a group");
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      fresh[samples[i]].push_back(members[i]);
-    }
-  }
+  if (!sampled.failure.empty()) return finish(sampled.failure);
+  auto fresh = dos::reassign_by_samples(input.groups, sampled);
+  if (fresh.empty()) return finish("too few samples for a group");
   if (std::any_of(fresh.begin(), fresh.end(),
                   [](const auto& members) { return members.empty(); })) {
-    return finish(false, "reassignment left a supernode empty");
+    return finish("reassignment left a supernode empty");
   }
-  for (auto& members : fresh) std::sort(members.begin(), members.end());
-  groups_ = std::move(fresh);
-  rebuild_index();
+  groups_ = dos::GroupTable(groups_.dimension(), std::move(fresh));
   push_snapshot();
   report.reorganized = true;
-  return finish(report.disconnected_rounds == 0,
-                report.disconnected_rounds == 0 ? "" : "disconnected");
+  return finish(report.disconnected_rounds == 0 ? "" : "disconnected");
 }
 
 }  // namespace reconfnet::apps

@@ -9,17 +9,16 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "adversary/dos.hpp"
+#include "dos/group_epoch.hpp"
+#include "dos/group_table.hpp"
 #include "graph/kary_hypercube.hpp"
 #include "sampling/schedule.hpp"
 #include "sim/blocked.hpp"
 #include "sim/bus.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -32,7 +31,6 @@ class KaryGroupedOverlay {
     int arity = 4;  ///< k; must be a power of two >= 2
     double group_c = 1.0;
     sampling::SamplingConfig sampling{};
-    int size_estimate_slack = 0;
     std::uint64_t seed = 1;
     /// Materialize edge lists in topology snapshots. The full edge list is
     /// Theta((n/d * log n)^2 * d) pairs — gigabytes at n = 10^5 — and only
@@ -41,20 +39,14 @@ class KaryGroupedOverlay {
     bool snapshot_edges = true;
   };
 
-  struct Attack {
-    adversary::DosAdversary* adversary = nullptr;
-    int lateness = 0;
-    double blocked_fraction = 0.0;
-  };
+  using Attack = dos::Attack;
 
-  struct EpochReport {
+  /// The tally's max_node_bits_per_round stays 0: the DHT overlay charges
+  /// no work.
+  struct EpochReport : dos::RoundTally {
     bool success = false;
     std::string failure_reason;
     bool reorganized = false;
-    sim::Round rounds = 0;
-    std::size_t silenced_group_rounds = 0;
-    std::size_t disconnected_rounds = 0;
-    double min_available_fraction = 1.0;
     std::size_t min_group_size = 0;
     std::size_t max_group_size = 0;
     /// Sampler requests/responses lost to the fault hook (DESIGN.md §10).
@@ -75,19 +67,27 @@ class KaryGroupedOverlay {
 
   [[nodiscard]] const graph::KaryHypercube& cube() const { return cube_; }
   [[nodiscard]] std::size_t size() const { return config_.size; }
-  [[nodiscard]] sim::Round round() const { return round_; }
+  [[nodiscard]] sim::Round round() const { return rounds_.round(); }
 
   [[nodiscard]] const std::vector<sim::NodeId>& group(std::uint64_t x) const {
-    return groups_[x];
+    return groups_.group(x);
   }
   [[nodiscard]] std::uint64_t supernode_of(sim::NodeId node) const {
-    return node_to_supernode_.at(node);
+    return groups_.supernode_of(node);
   }
-  [[nodiscard]] std::vector<sim::NodeId> all_nodes() const;
+  [[nodiscard]] std::vector<sim::NodeId> all_nodes() const {
+    return groups_.all_nodes();
+  }
+  /// Group cliques plus complete bipartite links between groups of k-ary
+  /// neighbors (one digit differs).
   [[nodiscard]] std::vector<std::pair<sim::NodeId, sim::NodeId>>
   overlay_edges() const;
-  [[nodiscard]] std::size_t min_group_size() const;
-  [[nodiscard]] std::size_t max_group_size() const;
+  [[nodiscard]] std::size_t min_group_size() const {
+    return groups_.min_group_size();
+  }
+  [[nodiscard]] std::size_t max_group_size() const {
+    return groups_.max_group_size();
+  }
 
   /// Deterministic key-to-supernode placement for the DHT layer.
   [[nodiscard]] std::uint64_t supernode_of_key(std::uint64_t key_hash) const {
@@ -108,18 +108,15 @@ class KaryGroupedOverlay {
   Config config_;
   support::Rng rng_;
   graph::KaryHypercube cube_;
-  int bits_per_digit_;
-  std::vector<std::vector<sim::NodeId>> groups_;  // by k-ary vertex
-  std::unordered_map<sim::NodeId, std::uint64_t> node_to_supernode_;
-  sim::SnapshotBuffer snapshots_;
-  sim::BlockedSet blocked_prev_;
-  sim::Round round_ = 0;
+  /// Groups and node index by k-ary vertex, a vertex read as its d * log2(k)
+  /// bits. The table's own overlay_edges() is the binary adjacency; the
+  /// k-ary one is overlay_edges() above.
+  dos::GroupTable groups_;
+  dos::GroupRounds rounds_;
   sim::DeliveryHook* fault_hook_ = nullptr;
   std::vector<sim::Round> fate_;  ///< fault-hook scratch
 
-  void rebuild_index();
   void push_snapshot();
-  void advance_round(const Attack& attack, EpochReport& report);
   /// Offers one sampler-exchange message to the fault hook; true = lost
   /// (dropped outright or delayed past the exchange window).
   bool message_lost(std::uint64_t from, std::uint64_t to);

@@ -6,17 +6,9 @@
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
-#include "graph/connectivity.hpp"
-#include "sampling/hypercube_sampler.hpp"
-#include "sim/stale_view.hpp"
 #include "support/sorted.hpp"
 
 namespace reconfnet::combined {
-namespace {
-
-constexpr std::uint64_t kIdBits = 64;
-
-}  // namespace
 
 int CombinedOverlay::initial_dimension(std::size_t n, double group_c) {
   // Lemma 18: the unique d with 2^d * 2cd < n <= 2^{d+1} * 2c(d+1).
@@ -61,17 +53,29 @@ CombinedOverlay::CombinedOverlay(const Config& config)
     : config_(config),
       rng_(config.seed),
       super_(bootstrap(config, rng_, ids_)) {
-  for (sim::NodeId id : super_.all_nodes()) ever_members_.insert(id);
+  auto nodes = super_.all_nodes();
+  ever_members_.insert(nodes.begin(), nodes.end());
   edges_ = super_.overlay_edges();
-  push_snapshot();
+  rounds_.push_snapshot(std::move(nodes), edges_);
 }
 
-void CombinedOverlay::push_snapshot() {
-  sim::TopologySnapshot snap;
-  snap.round = round_;
-  snap.nodes = super_.all_nodes();
-  snap.edges = edges_;
-  snapshots_.push(std::move(snap));
+dos::RoundInput CombinedOverlay::round_input(adversary::ChurnAdversary& churn,
+                                             const Attack& attack) {
+  dos::RoundInput input;
+  input.attack = attack;
+  input.nodes = super_.all_nodes();
+  input.groups.reserve(super_.supernode_count());
+  for (const auto& [key, entry] : super_.groups()) {
+    input.groups.emplace_back(entry.second);
+  }
+  input.edges = edges_;
+  // The budget audit's universe is every id that ever joined: a t-late
+  // adversary working from a stale snapshot legitimately wastes budget on
+  // nodes that have since churned out (ids are never reused).
+  input.known_ids = &ever_members_;
+  input.crashed = &crashed_;
+  input.on_round_end = [this, &churn](sim::Round) { poll_churn(churn); };
+  return input;
 }
 
 void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
@@ -81,7 +85,7 @@ void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
                                      staged_leaves_.end());
   departing.insert(departing.end(), epoch_departing_.begin(),
                    epoch_departing_.end());
-  adversary::ChurnView view{round_, members, departing};
+  adversary::ChurnView view{rounds_.round(), members, departing};
   const auto batch = churn.next(view, ids_);
   for (const auto& [fresh, sponsor] : batch.joins) {
     if (!member_set.contains(sponsor) || staged_leaves_.contains(sponsor)) {
@@ -112,64 +116,6 @@ void CombinedOverlay::crash(sim::NodeId node) {
   // The group emulates the crashed node's departure: it is staged to leave
   // exactly like an announced leave, and it never communicates again.
   staged_leaves_.insert(node);
-}
-
-void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
-                                    const Attack& attack,
-                                    std::uint64_t state_bits,
-                                    EpochReport& report) {
-  const std::size_t n = super_.node_count();
-  sim::BlockedSet blocked;
-  if (attack.adversary != nullptr) {
-    const auto budget = static_cast<std::size_t>(
-        attack.blocked_fraction * static_cast<double>(n));
-    snapshots_.ensure_lateness_horizon(attack.lateness);
-    const sim::StaleSnapshotView stale =
-        sim::serve_stale(snapshots_, round_, attack.lateness);
-    const auto universe = super_.all_nodes();
-    blocked = attack.adversary->choose(stale, universe, budget, round_);
-    // Round-boundary audit: the r-bounded adversary must respect its budget
-    // and may only block ids that ever existed — a t-late adversary working
-    // from a stale snapshot legitimately wastes budget on nodes that have
-    // since churned out (Section 1.1; ids are never reused).
-    if (audit::enabled()) {
-      audit::enforce(
-          audit::check_blocked_budget(blocked, budget, ever_members_));
-    }
-  }
-  // Crashed members are silent forever, on top of any adversary budget.
-  // reconfnet-lint: allow(RNL005) set union into a BlockedSet; the result's
-  // contents do not depend on the iteration order
-  for (sim::NodeId node : crashed_) blocked.insert(node);
-
-  std::uint64_t max_bits = 0;
-  for (const auto& [key, entry] : super_.groups()) {
-    const auto& members = entry.second;
-    std::size_t available = 0;
-    for (sim::NodeId node : members) {
-      if (!blocked.contains(node) && !blocked_prev_.contains(node)) {
-        ++available;
-      }
-    }
-    if (available == 0) ++report.silenced_group_rounds;
-    report.min_available_fraction = std::min(
-        report.min_available_fraction,
-        static_cast<double>(available) / static_cast<double>(members.size()));
-    const std::uint64_t per_node_bits =
-        (static_cast<std::uint64_t>(members.size()) + available) * state_bits;
-    max_bits = std::max(max_bits, per_node_bits);
-  }
-  report.max_node_bits_per_round =
-      std::max(report.max_node_bits_per_round, max_bits);
-
-  if (!graph::is_connected_excluding(super_.all_nodes(), edges_, blocked)) {
-    ++report.disconnected_rounds;
-  }
-
-  poll_churn(churn);
-  blocked_prev_ = std::move(blocked);
-  ++round_;
-  ++report.rounds;
 }
 
 CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
@@ -242,92 +188,24 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
 
   if (placed_total < 4) return fail("fewer than 4 nodes would remain");
 
-  // Schedule over the class hypercube; every class needs enough samples for
-  // all its placements.
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      std::max<std::size_t>(placed_total, 4), config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c = static_cast<double>(max_class + 1) /
-                          static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, std::max(d_min, 1),
-                                   sampling_config);
-
-  std::vector<sampling::HypercubeSamplerCore> cores;
-  std::vector<support::Rng> core_rngs;
-  cores.reserve(class_count);
-  core_rngs.reserve(class_count);
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 5);
-  const int cube_dim = std::max(d_min, 1);
-  for (std::uint64_t x = 0; x < class_count; ++x) {
-    cores.emplace_back(cube_dim, x, schedule);
-    core_rngs.push_back(epoch_rng.split(x));
-    cores.back().init(core_rngs.back());
-  }
-
-  const double avg_group =
-      static_cast<double>(super_.node_count()) /
-      static_cast<double>(super_.supernode_count());
-  auto state_bits_now = [&]() -> std::uint64_t {
-    std::size_t entries = 0;
-    for (int j = 1; j <= cube_dim; ++j) entries += cores[0].block(j).size();
-    const double per_entry = static_cast<double>(cube_dim) +
-                             avg_group * static_cast<double>(kIdBits);
-    return 16 +
-           static_cast<std::uint64_t>(static_cast<double>(entries) *
-                                      per_entry) +
-           static_cast<std::uint64_t>(avg_group) * kIdBits;
-  };
-
-  // Per-class scratch reused across sampling iterations; `outgoing` entries
-  // are overwritten wholesale, `responses` entries are cleared (capacity
-  // retained) at the top of each iteration.
-  std::vector<std::vector<
-      std::pair<std::uint64_t, sampling::HypercubeSamplerCore::Request>>>
-      outgoing(class_count);
-  std::vector<std::vector<sampling::HypercubeSamplerCore::Response>>
-      responses(class_count);
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    const auto state_bits = state_bits_now();
-    advance_round(churn, attack, state_bits, report);
-    advance_round(churn, attack, state_bits, report);
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      outgoing[x] = cores[x].make_requests(i, core_rngs[x]);
-    }
-    advance_round(churn, attack, state_bits, report);
-    advance_round(churn, attack, state_bits, report);
-    for (auto& per_class : responses) per_class.clear();
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      for (const auto& [dest, request] : outgoing[x]) {
-        responses[request.requester].push_back(
-            cores[dest].serve(request, i, core_rngs[dest]));
-      }
-    }
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      cores[x].discard_consumed(i);
-    }
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      for (const auto& response : responses[x]) {
-        cores[x].accept(response, core_rngs[x]);
-      }
-    }
-  }
-
-  // Refinement round: each sampled class vertex is extended to a concrete
-  // supernode by the owning class (constant work), then four reorganization
-  // rounds as in Section 5.
-  for (int r = 0; r < 5; ++r) {
-    advance_round(churn, attack, state_bits_now(), report);
-  }
-
-  if (report.silenced_group_rounds > 0) {
-    return fail("a group was silenced");
-  }
-  std::size_t dry = 0;
-  for (const auto& core : cores) dry += core.dry_events();
-  if (dry > 0) return fail("class sampling ran dry");
+  // Algorithm 2 over the class hypercube; every class needs enough samples
+  // for all its placements. Then a refinement round, in which each sampled
+  // class vertex is extended to a concrete supernode by the owning class
+  // (constant work), and four reorganization rounds as in Section 5.
+  const dos::RoundInput input = round_input(churn, attack);
+  dos::SamplingSpec spec;
+  spec.n = placed_total;
+  spec.max_group = max_class;
+  spec.dimension = std::max(d_min, 1);
+  spec.sampling = config_.sampling;
+  spec.avg_group = static_cast<double>(super_.node_count()) /
+                   static_cast<double>(super_.supernode_count());
+  spec.trailing_rounds = 5;
+  spec.unit = "class";
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(rounds_.round()) + 5);
+  const auto sampled =
+      dos::run_group_sampling(rounds_, input, spec, epoch_rng, report);
+  if (!sampled.failure.empty()) return fail(sampled.failure);
 
   // Assignment: the i-th placement of class x goes to the supernode obtained
   // by refining the i-th sample of x. The table is keyed by prefix-code label
@@ -339,7 +217,7 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   }
   for (std::uint64_t x = 0; x < class_count; ++x) {
     const auto& placements = class_members[x];
-    const auto& samples = cores[x].samples();
+    const auto& samples = sampled.cores[x].samples();
     if (samples.size() < placements.size()) {
       return fail("too few samples for a class");
     }
@@ -395,10 +273,11 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
     }
     audit::enforce(std::move(violations));
   }
+  const dos::RoundInput reorganized = round_input(churn, attack);
   for (int r = 0; r < 2 * report.split_merge.sweeps; ++r) {
-    advance_round(churn, attack, state_bits_now(), report);
+    rounds_.advance(reorganized, {sampled.state_bits, 0}, report);
   }
-  push_snapshot();
+  rounds_.push_snapshot(super_.all_nodes(), edges_);
 
   epoch_departing_.clear();
   // Delegate joins staged during this epoch whose sponsor just left.

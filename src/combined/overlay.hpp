@@ -19,10 +19,9 @@
 #include <vector>
 
 #include "adversary/churn.hpp"
-#include "adversary/dos.hpp"
 #include "combined/split_merge.hpp"
+#include "dos/group_epoch.hpp"
 #include "sampling/schedule.hpp"
-#include "sim/blocked.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
@@ -36,24 +35,15 @@ class CombinedOverlay {
     /// Equation (1) constant: c*d(x) - c < |R(x)| < 2*c*d(x).
     double group_c = 2.0;
     sampling::SamplingConfig sampling{};
-    int size_estimate_slack = 0;
     std::uint64_t seed = 1;
   };
 
-  struct Attack {
-    adversary::DosAdversary* adversary = nullptr;
-    int lateness = 0;
-    double blocked_fraction = 0.0;
-  };
+  using Attack = dos::Attack;
 
-  struct EpochReport {
+  struct EpochReport : dos::RoundTally {
     bool success = false;
     std::string failure_reason;
     bool reorganized = false;
-    sim::Round rounds = 0;
-    std::size_t silenced_group_rounds = 0;
-    std::size_t disconnected_rounds = 0;
-    double min_available_fraction = 1.0;
     /// Lemma 18 observables.
     int min_dimension = 0;
     int max_dimension = 0;
@@ -63,7 +53,6 @@ class CombinedOverlay {
     std::size_t members_after = 0;
     std::size_t min_group_size = 0;
     std::size_t max_group_size = 0;
-    std::uint64_t max_node_bits_per_round = 0;
   };
 
   explicit CombinedOverlay(const Config& config);
@@ -90,10 +79,10 @@ class CombinedOverlay {
   /// Per-round topology snapshots (what a t-late adversary observes); also
   /// the reproducibility witness compared by the determinism tests.
   [[nodiscard]] const sim::SnapshotBuffer& snapshots() const {
-    return snapshots_;
+    return rounds_.snapshots();
   }
   [[nodiscard]] std::size_t size() const { return super_.node_count(); }
-  [[nodiscard]] sim::Round round() const { return round_; }
+  [[nodiscard]] sim::Round round() const { return rounds_.round(); }
   [[nodiscard]] sim::IdAllocator& ids() { return ids_; }
   [[nodiscard]] std::vector<sim::NodeId> members() const {
     return super_.all_nodes();
@@ -108,10 +97,8 @@ class CombinedOverlay {
   support::Rng rng_;
   sim::IdAllocator ids_;
   SuperGroups super_;
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges_;
-  sim::SnapshotBuffer snapshots_;
-  sim::BlockedSet blocked_prev_;
-  sim::Round round_ = 0;
+  std::vector<dos::Edge> edges_;
+  dos::GroupRounds rounds_;
 
   std::unordered_map<sim::NodeId, std::vector<sim::NodeId>> staged_joins_;
   std::unordered_set<sim::NodeId> staged_leaves_;
@@ -122,9 +109,10 @@ class CombinedOverlay {
   static SuperGroups bootstrap(const Config& config, support::Rng& rng,
                                sim::IdAllocator& ids);
 
-  void push_snapshot();
-  void advance_round(adversary::ChurnAdversary& churn, const Attack& attack,
-                     std::uint64_t state_bits, EpochReport& report);
+  /// The current groups for the blocking rounds: crashed members are
+  /// silent, and every round ends by polling `churn`.
+  [[nodiscard]] dos::RoundInput round_input(adversary::ChurnAdversary& churn,
+                                            const Attack& attack);
   void poll_churn(adversary::ChurnAdversary& churn);
 };
 

@@ -14,6 +14,9 @@ GroupTable::GroupTable(int dimension,
   if (groups_.size() != supernodes()) {
     throw std::invalid_argument("GroupTable: need exactly 2^d groups");
   }
+  std::size_t nodes = 0;
+  for (const auto& members : groups_) nodes += members.size();
+  node_to_supernode_.reserve(nodes);
   for (std::uint64_t x = 0; x < supernodes(); ++x) {
     auto& members = groups_[x];
     if (members.empty()) {

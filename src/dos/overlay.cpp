@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
-#include "graph/connectivity.hpp"
-#include "sampling/hypercube_sampler.hpp"
-#include "sim/stale_view.hpp"
 
 namespace reconfnet::dos {
 namespace {
-
-/// Wire size of one supernode-level message replicated to a whole group.
-constexpr std::uint64_t kIdBits = 64;
 
 std::vector<sim::NodeId> make_ids(std::size_t n) {
   std::vector<sim::NodeId> ids(n);
@@ -43,241 +35,77 @@ DosOverlay::DosOverlay(const Config& config)
                                                   config.group_c),
                                  make_ids(config.size), rng_)) {
   edges_ = groups_.overlay_edges();
-  push_snapshot();
+  rounds_.push_snapshot(groups_.all_nodes(), edges_);
 }
 
-void DosOverlay::push_snapshot() {
-  sim::TopologySnapshot snap;
-  snap.round = round_;
-  snap.nodes = groups_.all_nodes();
-  snap.edges = edges_;
-  snapshots_.push(std::move(snap));
+RoundInput DosOverlay::round_input(const Attack& attack) const {
+  RoundInput input = group_round_input(groups_, attack);
+  input.edges = edges_;
+  return input;
 }
 
-void DosOverlay::advance_round(const Attack& attack,
-                               std::uint64_t state_bits,
-                               std::uint64_t extra_group_bits,
-                               EpochReport& report) {
-  const std::size_t n = groups_.size();
-  sim::BlockedSet blocked;
-  if (attack.adversary != nullptr) {
-    const auto budget = static_cast<std::size_t>(
-        attack.blocked_fraction * static_cast<double>(n));
-    snapshots_.ensure_lateness_horizon(attack.lateness);
-    const sim::StaleSnapshotView stale =
-        sim::serve_stale(snapshots_, round_, attack.lateness);
-    // The id space is public knowledge; the secret is the group structure.
-    const auto universe = groups_.all_nodes();
-    blocked = attack.adversary->choose(stale, universe, budget, round_);
-    // Round-boundary audit: an r-bounded adversary must respect its budget
-    // and may only block existing nodes (Section 1.1).
-    if (audit::enabled()) {
-      audit::enforce(
-          audit::check_blocked_budget(blocked, budget, universe));
-    }
+DosOverlay::EpochReport DosOverlay::finish(EpochReport report,
+                                           std::string failure) const {
+  if (failure.empty() && report.disconnected_rounds > 0) {
+    failure = "disconnected";
   }
-
-  std::uint64_t max_bits = 0;
-  for (std::uint64_t x = 0; x < groups_.supernodes(); ++x) {
-    const auto& members = groups_.group(x);
-    const auto g = members.size();
-    std::size_t available = 0;
-    for (sim::NodeId node : members) {
-      // Available in round i: non-blocked in rounds i-1 and i (it can both
-      // receive the previous round's messages and act now).
-      if (!blocked.contains(node) && !blocked_prev_.contains(node)) {
-        ++available;
-      }
-    }
-    if (available == 0) ++report.silenced_group_rounds;
-    report.min_available_fraction =
-        std::min(report.min_available_fraction,
-                 static_cast<double>(available) / static_cast<double>(g));
-    // Communication work: every available node broadcasts the supernode
-    // state S(x) to all |R(x)| members and receives the broadcasts of the
-    // other available members; during synchronization rounds it additionally
-    // relays the supernode's outgoing messages (extra_group_bits).
-    const std::uint64_t per_node_bits =
-        (static_cast<std::uint64_t>(g) + available) * state_bits +
-        extra_group_bits;
-    max_bits = std::max(max_bits, per_node_bits);
-  }
-  report.max_node_bits_per_round =
-      std::max(report.max_node_bits_per_round, max_bits);
-
-  // Connectivity of the overlay restricted to non-blocked nodes.
-  if (!graph::is_connected_excluding(groups_.all_nodes(), edges_, blocked)) {
-    ++report.disconnected_rounds;
-  }
-
-  blocked_prev_ = std::move(blocked);
-  ++round_;
-  ++report.rounds;
+  report.success = failure.empty();
+  report.failure_reason = std::move(failure);
+  report.min_group_size = groups_.min_group_size();
+  report.max_group_size = groups_.max_group_size();
+  return report;
 }
 
 DosOverlay::EpochReport DosOverlay::run_static(const Attack& attack,
                                                sim::Round rounds) {
   EpochReport report;
+  const RoundInput input = round_input(attack);
   // Keepalive broadcast only: one id per group member.
-  const auto state_bits =
-      static_cast<std::uint64_t>(groups_.max_group_size()) * kIdBits;
+  const RoundCharge keepalive{
+      static_cast<std::uint64_t>(groups_.max_group_size()) * kIdBits, 0};
   for (sim::Round r = 0; r < rounds; ++r) {
-    advance_round(attack, state_bits, 0, report);
+    rounds_.advance(input, keepalive, report);
   }
-  report.success = report.disconnected_rounds == 0;
-  if (!report.success) report.failure_reason = "disconnected";
-  report.min_group_size = groups_.min_group_size();
-  report.max_group_size = groups_.max_group_size();
-  return report;
+  return finish(std::move(report), "");
 }
 
 DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
   EpochReport report;
   const std::size_t n = groups_.size();
   const int d = groups_.dimension();
-  const auto supernode_count = groups_.supernodes();
   const double avg_group = static_cast<double>(n) /
-                           static_cast<double>(supernode_count);
-
-  // The final phase assigns the i-th representative of R(x) to the i-th
-  // sampled supernode, so every supernode needs at least max |R(x)| samples
-  // (beta = 2(1+delta)c in Lemma 16's terms). Raise the schedule constant
-  // adaptively.
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      n, config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c =
-      static_cast<double>(groups_.max_group_size() + 1) /
-      static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, d, sampling_config);
-
-  // One sampler core per supernode; its execution is what the group
-  // replicates (Lemma 14). Randomness is injected per supernode.
-  std::vector<sampling::HypercubeSamplerCore> cores;
-  std::vector<support::Rng> core_rngs;
-  cores.reserve(supernode_count);
-  core_rngs.reserve(supernode_count);
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 3);
-  for (std::uint64_t x = 0; x < supernode_count; ++x) {
-    cores.emplace_back(d, x, schedule);
-    core_rngs.push_back(epoch_rng.split(x));
-    cores.back().init(core_rngs.back());
-  }
-
-  // S(x) carries the sampler state: every block entry is a supernode label
-  // plus references to that supernode's representatives.
-  auto state_bits_now = [&]() -> std::uint64_t {
-    std::size_t entries = 0;
-    for (int j = 1; j <= d; ++j) entries += cores[0].block(j).size();
-    const double per_entry =
-        static_cast<double>(d) + avg_group * static_cast<double>(kIdBits);
-    return 16 +
-           static_cast<std::uint64_t>(static_cast<double>(entries) *
-                                      per_entry) +
-           static_cast<std::uint64_t>(avg_group) * kIdBits;
-  };
-
-  // Per-supernode scratch reused across sampling iterations; `outgoing`
-  // entries are overwritten wholesale, `responses` entries are cleared
-  // (capacity retained) at the top of each iteration.
-  std::vector<std::vector<
-      std::pair<std::uint64_t, sampling::HypercubeSamplerCore::Request>>>
-      outgoing(supernode_count);
-  std::vector<std::vector<sampling::HypercubeSamplerCore::Response>>
-      responses(supernode_count);
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    const auto state_bits = state_bits_now();
-    const auto extra = static_cast<std::uint64_t>(
-        static_cast<double>(schedule.m[static_cast<std::size_t>(i)]) *
-        avg_group * static_cast<double>(kIdBits));
-    // Primitive request round = simulation round + synchronization round.
-    advance_round(attack, state_bits, 0, report);
-    advance_round(attack, state_bits, extra, report);
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      outgoing[x] = cores[x].make_requests(i, core_rngs[x]);
-    }
-    // Primitive response round = simulation round + synchronization round.
-    advance_round(attack, state_bits, 0, report);
-    advance_round(attack, state_bits, extra, report);
-    for (auto& per_node : responses) per_node.clear();
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      for (const auto& [dest, request] : outgoing[x]) {
-        responses[request.requester].push_back(
-            cores[dest].serve(request, i, core_rngs[dest]));
-      }
-    }
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      cores[x].discard_consumed(i);
-    }
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      for (const auto& response : responses[x]) {
-        cores[x].accept(response, core_rngs[x]);
-      }
-    }
-  }
-
+                           static_cast<double>(groups_.supernodes());
+  const RoundInput input = round_input(attack);
+  SamplingSpec spec;
+  spec.n = n;
+  spec.max_group = groups_.max_group_size();
+  spec.dimension = d;
+  spec.sampling = config_.sampling;
+  spec.avg_group = avg_group;
+  // Synchronization rounds relay the supernode's outgoing messages to the
+  // whole group.
+  spec.relay_group = avg_group;
   // Final reorganization phase: four rounds of group-to-group traffic
   // (assignments out, new groups gathered, neighbor groups exchanged, new
   // views delivered).
-  {
-    const auto reorg_bits = static_cast<std::uint64_t>(
-        avg_group * avg_group * static_cast<double>(d + 1) *
-        static_cast<double>(kIdBits));
-    for (int r = 0; r < 4; ++r) {
-      advance_round(attack, state_bits_now(), reorg_bits, report);
-    }
+  spec.trailing_extra_bits = static_cast<std::uint64_t>(
+      avg_group * avg_group * static_cast<double>(d + 1) *
+      static_cast<double>(kIdBits));
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(rounds_.round()) + 3);
+  const auto sampled =
+      run_group_sampling(rounds_, input, spec, epoch_rng, report);
+  if (!sampled.failure.empty()) {
+    return finish(std::move(report), sampled.failure);
   }
 
-  // Lemma 14/15 require at least one available node per group per round; if
-  // the adversary ever silenced a whole group, the epoch's simulation is not
-  // trustworthy and the old groups stay.
-  if (report.silenced_group_rounds > 0) {
-    report.success = false;
-    report.failure_reason = "a group was silenced";
-    report.min_group_size = groups_.min_group_size();
-    report.max_group_size = groups_.max_group_size();
-    return report;
+  auto new_groups = reassign_by_samples(input.groups, sampled);
+  if (new_groups.empty()) {
+    return finish(std::move(report),
+                  "too few samples for a group (|R(x)| > beta log n)");
   }
-  std::size_t dry = 0;
-  for (const auto& core : cores) dry += core.dry_events();
-  if (dry > 0) {
-    report.success = false;
-    report.failure_reason = "supernode sampling ran dry";
-    report.min_group_size = groups_.min_group_size();
-    report.max_group_size = groups_.max_group_size();
-    return report;
-  }
-
-  // Reassign: the i-th representative (by id) of R(x) moves to the i-th
-  // sampled supernode of x.
-  std::vector<std::vector<sim::NodeId>> new_groups(supernode_count);
-  bool shortage = false;
-  for (std::uint64_t x = 0; x < supernode_count; ++x) {
-    const auto& members = groups_.group(x);  // already sorted by id
-    const auto& samples = cores[x].samples();
-    if (samples.size() < members.size()) {
-      shortage = true;
-      break;
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      new_groups[samples[i]].push_back(members[i]);
-    }
-  }
-  const bool empty_group =
-      !shortage &&
-      std::any_of(new_groups.begin(), new_groups.end(),
-                  [](const auto& members) { return members.empty(); });
-  if (shortage || empty_group) {
-    report.success = false;
-    report.failure_reason =
-        shortage ? "too few samples for a group (|R(x)| > beta log n)"
-                 : "reassignment left a supernode empty";
-    report.min_group_size = groups_.min_group_size();
-    report.max_group_size = groups_.max_group_size();
-    return report;
+  if (std::any_of(new_groups.begin(), new_groups.end(),
+                  [](const auto& members) { return members.empty(); })) {
+    return finish(std::move(report), "reassignment left a supernode empty");
   }
 
   groups_ = GroupTable(d, std::move(new_groups));
@@ -294,14 +122,9 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
     }
     audit::enforce(std::move(violations));
   }
-  push_snapshot();
-
-  report.success = report.disconnected_rounds == 0;
-  if (!report.success) report.failure_reason = "disconnected";
+  rounds_.push_snapshot(groups_.all_nodes(), edges_);
   report.reorganized = true;
-  report.min_group_size = groups_.min_group_size();
-  report.max_group_size = groups_.max_group_size();
-  return report;
+  return finish(std::move(report), "");
 }
 
 }  // namespace reconfnet::dos

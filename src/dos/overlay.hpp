@@ -12,14 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "adversary/dos.hpp"
+#include "dos/group_epoch.hpp"
 #include "dos/group_table.hpp"
 #include "sampling/schedule.hpp"
-#include "sim/blocked.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
@@ -34,34 +32,17 @@ class DosOverlay {
     /// 2^d <= size / (group_c * log2 size).
     double group_c = 1.0;
     sampling::SamplingConfig sampling{};
-    int size_estimate_slack = 0;
     std::uint64_t seed = 1;
   };
 
-  /// One attack scenario: strategy, enforced lateness (rounds), and the
-  /// blocked fraction r of an r-bounded adversary.
-  struct Attack {
-    adversary::DosAdversary* adversary = nullptr;  ///< nullptr: no attack
-    int lateness = 0;
-    double blocked_fraction = 0.0;
-  };
+  using Attack = dos::Attack;
 
-  struct EpochReport {
+  struct EpochReport : RoundTally {
     bool success = false;
     std::string failure_reason;
     bool reorganized = false;  ///< groups were rebuilt at the end
-    sim::Round rounds = 0;
-    /// (group, round) pairs in which no representative was available — each
-    /// one is a violation of the Lemma 17 condition.
-    std::size_t silenced_group_rounds = 0;
-    /// Rounds in which the non-blocked nodes were disconnected (the paper's
-    /// failure event).
-    std::size_t disconnected_rounds = 0;
-    /// min over (group, round) of (available nodes) / |group|.
-    double min_available_fraction = 1.0;
     std::size_t min_group_size = 0;  ///< after the epoch
     std::size_t max_group_size = 0;
-    std::uint64_t max_node_bits_per_round = 0;
   };
 
   explicit DosOverlay(const Config& config);
@@ -79,34 +60,27 @@ class DosOverlay {
   /// Per-round topology snapshots (what a t-late adversary observes); also
   /// the reproducibility witness compared by the determinism tests.
   [[nodiscard]] const sim::SnapshotBuffer& snapshots() const {
-    return snapshots_;
+    return rounds_.snapshots();
   }
   [[nodiscard]] int dimension() const { return groups_.dimension(); }
   [[nodiscard]] std::size_t size() const { return groups_.size(); }
-  [[nodiscard]] sim::Round round() const { return round_; }
+  [[nodiscard]] sim::Round round() const { return rounds_.round(); }
 
   /// Chooses the paper's dimension: max d with 2^d <= n / (c log2 n).
   static int choose_dimension(std::size_t n, double group_c);
 
  private:
-  struct RoundStats {
-    sim::BlockedSet blocked;
-  };
-
   Config config_;
   support::Rng rng_;
   GroupTable groups_;
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges_;  // current topology
-  sim::SnapshotBuffer snapshots_;
-  sim::BlockedSet blocked_prev_;
-  sim::Round round_ = 0;
+  std::vector<Edge> edges_;  // current topology
+  GroupRounds rounds_;
 
-  void push_snapshot();
-  /// Advances one overlay round: adversary blocks, availability and
-  /// connectivity are evaluated, and the per-node communication work of the
-  /// ongoing state broadcast (state_bits per group member) is charged.
-  void advance_round(const Attack& attack, std::uint64_t state_bits,
-                     std::uint64_t extra_group_bits, EpochReport& report);
+  /// The current groups for the blocking rounds under `attack`.
+  [[nodiscard]] RoundInput round_input(const Attack& attack) const;
+  /// Completes `report`: `failure` (or "disconnected") and group sizes.
+  [[nodiscard]] EpochReport finish(EpochReport report,
+                                   std::string failure) const;
 };
 
 }  // namespace reconfnet::dos

@@ -139,7 +139,7 @@ std::size_t body_bytes(const Message& msg) {
   const Body& body = msg.contents();
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
-      return 8;  // epoch_start
+      return 0;  // the header's sender round is the whole heartbeat
     case MsgKind::kCandidate:
       return 8 + state_bytes(body.state) + 4 +
              body.outbox.size() * kSuperMsgBytes;
@@ -196,7 +196,6 @@ void encode(const Message& msg, std::vector<std::uint8_t>& out) {
   w.u32(static_cast<std::uint32_t>(body_bytes(msg)));
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
-      w.i64(msg.epoch_start);
       break;
     case MsgKind::kCandidate:
       w.u64(msg.supernode);
@@ -265,7 +264,6 @@ bool decode(std::span<const std::uint8_t> bytes, Message& msg) {
   };
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
-      msg.epoch_start = r.i64();
       break;
     case MsgKind::kCandidate: {
       msg.supernode = r.u64();

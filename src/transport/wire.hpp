@@ -26,7 +26,7 @@ namespace reconfnet::transport {
 
 // Frame-format constants, pinned by tools/protocheck/protocol.toml.
 inline constexpr std::uint16_t kWireMagic = 0x5243;  // "RC"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Frame header: magic(2) + version(1) + kind(1) + sender round(8) +
 /// epoch(8) + attempt(4) + payload length(4).
 inline constexpr std::size_t kFrameHeaderBytes = 28;
@@ -124,7 +124,6 @@ struct Message {
   sim::Round round = 0;       ///< sender's round when the frame was sent
   std::int64_t epoch = 0;     ///< reconfiguration epoch the frame belongs to
 
-  std::int64_t epoch_start = 0;           ///< heartbeat: epoch's first round
   std::uint64_t supernode = 0;            ///< state/assign/group/vote frames
   sim::NodeId assigned = sim::kNoNode;    ///< assign
   std::uint64_t key = 0;                  ///< lookup / reply

@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "adversary/churn.hpp"
 #include "adversary/dos.hpp"
+#include "apps/dht/kary_overlay.hpp"
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
 #include "churn/overlay.hpp"
@@ -409,6 +411,33 @@ TEST(AuditHooks, NodeLevelEpochUnderAuditIsSilent) {
   EXPECT_TRUE(report.success) << report.failure_reason;
   EXPECT_GT(audit::stats().checks_run, 0u);
   EXPECT_EQ(audit::stats().violations_found, 0u);
+}
+
+/// Breaks the r-bounded contract: blocks one node more than its budget.
+class OverBudgetDos final : public adversary::DosAdversary {
+ public:
+  sim::BlockedSet choose(const sim::StaleSnapshotView&,
+                         std::span<const sim::NodeId> universe,
+                         std::size_t budget, sim::Round) override {
+    sim::BlockedSet blocked;
+    for (std::size_t i = 0; i <= budget && i < universe.size(); ++i) {
+      blocked.insert(universe[i]);
+    }
+    return blocked;
+  }
+};
+
+TEST(AuditHooks, DhtOverlayRejectsAnOverBudgetAdversary) {
+  ScopedEnable on;
+  apps::KaryGroupedOverlay::Config config;
+  config.size = 256;
+  config.seed = 33;
+  apps::KaryGroupedOverlay overlay(config);
+  OverBudgetDos adversary;
+  apps::KaryGroupedOverlay::Attack attack;
+  attack.adversary = &adversary;
+  attack.blocked_fraction = 0.1;
+  EXPECT_THROW(overlay.run_epoch(attack), AuditError);
 }
 
 TEST(AuditHooks, DisabledAuditSkipsChecks) {

@@ -68,6 +68,16 @@ TEST(Wire, RoundTripsEveryField) {
   EXPECT_EQ(back.contents().state, msg.contents().state);
   ASSERT_EQ(back.contents().outbox.size(), 1u);
   EXPECT_EQ(back.contents().outbox[0], msg.contents().outbox[0]);
+
+  // A heartbeat is its header: the sender round is all it announces.
+  Message beat;
+  beat.kind = MsgKind::kHeartbeat;
+  beat.round = 41;
+  encode(beat, bytes);
+  EXPECT_EQ(bytes.size(), kFrameHeaderBytes);
+  ASSERT_TRUE(decode(bytes, back));
+  EXPECT_EQ(back.kind, MsgKind::kHeartbeat);
+  EXPECT_EQ(back.round, 41);
 }
 
 TEST(Wire, RoundTripsTableAndLookupFrames) {
@@ -397,7 +407,6 @@ void expect_same_frame(const Message& sent, const Message& back) {
   const Body& b = back.contents();
   switch (sent.kind) {
     case MsgKind::kHeartbeat:
-      EXPECT_EQ(back.epoch_start, sent.epoch_start);
       break;
     case MsgKind::kCandidate:
       EXPECT_EQ(back.supernode, sent.supernode);
